@@ -85,8 +85,15 @@ def kl_vs_gaussian_truth(model: FlowModel, x, a, mu, sd: float = 1.0,
 
 
 def _sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    d = A[:, None, :] - B[None, :, :]
-    return np.sum(d * d, axis=2)
+    """Pairwise squared distances |a|^2 + |b|^2 - 2 a.b, clipped at 0.
+
+    Allocates (n, m) arrays only. B.T is copied so that numpy never takes
+    its syrk path for A @ A.T: equal inputs then give equal bits whether or
+    not they share a buffer.
+    """
+    gram = A @ B.T.copy()
+    sq = np.sum(A * A, axis=1)[:, None] + np.sum(B * B, axis=1)[None, :] - 2.0 * gram
+    return np.maximum(sq, 0.0)
 
 
 def _median_bandwidth(values: np.ndarray) -> float:

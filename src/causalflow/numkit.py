@@ -31,13 +31,14 @@ def as_matrix(value, name: str = "value") -> Matrix:
 
 
 def sigmoid_kernel(x: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic; finite for every finite input."""
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Numerically stable logistic; finite for every finite input.
+
+    Evaluates 1/(1+e^-x) for x >= 0 and e^x/(1+e^x) otherwise, both from
+    e = e^-|x|, so exp never overflows and no boolean-mask indexing is
+    needed. min(x, -x) rather than -|x| keeps the sign bit of a nan input.
+    """
+    e = np.exp(np.minimum(x, -x))
+    return np.maximum(e, x >= 0) / (1.0 + e)
 
 
 @dataclass

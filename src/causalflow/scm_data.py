@@ -172,8 +172,9 @@ def load_csv(path) -> CausalDataset:
     """Parse a dataset CSV.
 
     The header must contain x0..x{d-1}, a, y; mu0/mu1/ycf are optional.
-    Raises SchemaError for header problems and ValueError (naming the
-    1-based data row) for bad cell values.
+    Raises SchemaError for header problems and for nan/inf cells (naming
+    the 1-based data row and the column), and ValueError (naming the
+    1-based data row) for other bad cell values.
     """
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -214,6 +215,12 @@ def load_csv(path) -> CausalDataset:
         if a_val not in (0.0, 1.0):
             raise ValueError(f"{path}: row {r}: treatment must be 0 or 1, got {row[idx['a']]}")
         a[r - 1] = int(a_val)
+    names = x_cols + ["y"] + list(extras)
+    bad = np.argwhere(~np.isfinite(np.column_stack([x, y, *extras.values()])))
+    if bad.size:
+        r, j = bad[0]
+        raise SchemaError(f"{path}: row {r + 1}, column {names[j]!r}: "
+                          f"non-finite value {rows[r][idx[names[j]]]!r}")
     return CausalDataset(x, a, y, name=str(path), **extras)
 
 
@@ -258,7 +265,8 @@ class Scaler:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Scaler":
-        return cls(tuple(d["x_mean"]), tuple(d["x_sd"]), float(d["y_mean"]), float(d["y_sd"]))
+        return cls(tuple(map(float, d["x_mean"])), tuple(map(float, d["x_sd"])),
+                   float(d["y_mean"]), float(d["y_sd"]))
 
 
 def _column_stats(col: np.ndarray) -> tuple[float, float]:

@@ -22,6 +22,7 @@ from .scm_data import Scaler
 
 MODEL_FORMAT_VERSION = 1
 _T_TOL = 1e-9
+_ROW_BLOCK = 2048  # rows per network pass in forward_batch
 
 
 @dataclass(frozen=True)
@@ -66,7 +67,21 @@ class NetConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "NetConfig":
-        return cls(**d)
+        """Inverse of to_dict; ConfigError names an unknown, missing or mistyped key."""
+        unknown = sorted(set(d) - set(cls.__dataclass_fields__))
+        if unknown:
+            raise ConfigError(f"unknown net_config keys {unknown}")
+        if "d_x" not in d:
+            raise ConfigError("net_config has no 'd_x'")
+        for key, value in d.items():
+            want = str if key == "time_encoding" else int
+            if not ((isinstance(value, want) and not isinstance(value, bool))
+                    or (key == "hidden_dim" and value is None)):
+                raise ConfigError(f"net_config {key!r} must be {want.__name__}, got {value!r}")
+        try:
+            return cls(**d)
+        except ContractError as exc:
+            raise ConfigError(f"net_config: {exc}") from None
 
 
 def layer_shapes(cfg: NetConfig) -> list[tuple[str, tuple[int, int], bool]]:
@@ -198,7 +213,7 @@ def _check_inputs(net: VelocityNet, ys, ts, x, a):
         raise DimensionError(
             f"forward: x has shape {x.shape}, expected ({n}, {net.cfg.d_x})")
     a = np.broadcast_to(np.asarray(a), (n,))
-    if n and not np.all(np.isin(a, (0, 1))):
+    if n and not ((a == 0) | (a == 1)).all():
         raise ContractError("treatment must be 0 or 1")
     if n and (ts.min() < -_T_TOL or ts.max() > 1.0 + _T_TOL):
         raise ContractError(f"t outside [0, 1]: range [{ts.min()}, {ts.max()}]")
@@ -206,13 +221,20 @@ def _check_inputs(net: VelocityNet, ys, ts, x, a):
 
 
 def forward_batch(net: VelocityNet, ys, ts, x, a) -> np.ndarray:
-    """Velocity of the selected arm for each row."""
+    """Velocity of the selected arm for each row.
+
+    Rows pass through the network in blocks of _ROW_BLOCK. Rows are
+    independent, so the result equals one pass over all rows bit for bit,
+    while temporaries stay cache-sized however many rows a call carries.
+    """
     ys, ts, x, a = _check_inputs(net, ys, ts, x, a)
-    if ys.shape[0] == 0:
-        return np.zeros(0)
-    c = cond_features(x, a, ts, net.cfg)
-    out = core_forward(_NumpyOps, net.params, ys.reshape(-1, 1), c, net.cfg)
-    return np.where(a == 1, out[:, 1], out[:, 0])
+    out = np.empty(ys.shape[0])
+    for lo in range(0, ys.shape[0], _ROW_BLOCK):
+        rows = slice(lo, lo + _ROW_BLOCK)
+        c = cond_features(x[rows], a[rows], ts[rows], net.cfg)
+        both = core_forward(_NumpyOps, net.params, ys[rows].reshape(-1, 1), c, net.cfg)
+        out[rows] = np.where(a[rows] == 1, both[:, 1], both[:, 0])
+    return out
 
 
 def forward(net: VelocityNet, y: float, t: float, x, a: int) -> float:
@@ -250,28 +272,51 @@ def save_model(model: FlowModel, path) -> None:
 
 
 def load_model(path) -> FlowModel:
-    """Inverse of save_model; validates version, tensor presence, and shapes."""
+    """Inverse of save_model; any malformed document raises ConfigError naming the path."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: not a valid model file: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path}: not a valid model file: expected a JSON object")
     version = doc.get("format_version")
     if version != MODEL_FORMAT_VERSION:
         raise ConfigError(f"{path}: unsupported format_version {version!r}")
-    cfg = NetConfig.from_dict(doc["net_config"])
+    for key in ("net_config", "params"):
+        if not isinstance(doc.get(key), dict):
+            raise ConfigError(f"{path}: missing or malformed {key!r}: expected a JSON object")
+    try:
+        cfg = NetConfig.from_dict(doc["net_config"])
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
     params = {}
     for name, (rows, cols), _ in layer_shapes(cfg):
         entry = doc["params"].get(name)
         if entry is None:
             raise ConfigError(f"{path}: missing parameter tensor {name!r}")
-        if tuple(entry["shape"]) != (rows, cols):
+        try:
+            shape = tuple(entry["shape"])
+            data = np.asarray(entry["data"], dtype=np.float64)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"{path}: tensor {name!r} is malformed: {exc!r}") from None
+        if shape != (rows, cols):
             raise ConfigError(
                 f"{path}: tensor {name!r} has shape {entry['shape']}, expected {(rows, cols)}")
-        data = np.asarray(entry["data"], dtype=np.float64)
         if data.size != rows * cols:
             raise ConfigError(f"{path}: tensor {name!r} has {data.size} values, "
                               f"expected {rows * cols}")
+        if not np.all(np.isfinite(data)):
+            raise ConfigError(f"{path}: tensor {name!r} holds non-finite values")
         params[name] = data.reshape(rows, cols)
-    scaler = Scaler.from_dict(doc["scaler"]) if doc.get("scaler") else Scaler.identity(cfg.d_x)
+    try:
+        scaler = Scaler.from_dict(doc["scaler"]) if doc.get("scaler") else Scaler.identity(cfg.d_x)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: scaler is malformed: {exc!r}") from None
+    if not len(scaler.x_mean) == len(scaler.x_sd) == cfg.d_x:
+        raise ConfigError(f"{path}: scaler has {len(scaler.x_mean)} means and "
+                          f"{len(scaler.x_sd)} sds, expected {cfg.d_x} of each")
+    sds = (*scaler.x_sd, scaler.y_sd)
+    if not np.all(np.isfinite((*scaler.x_mean, scaler.y_mean, *sds))) or min(sds) <= 0.0:
+        raise ConfigError(f"{path}: scaler needs finite means and positive finite sds")
     return FlowModel(VelocityNet(cfg, params), scaler, doc.get("train_meta", {}))

@@ -253,3 +253,30 @@ def test_artifacts_are_byte_identical_across_reruns(tmp_path):
                  f"c{tag}.csv", f"r{tag}.json")]
 
     assert run("A") == run("B")
+
+
+def test_train_on_non_finite_cell_exits_2(small_run, tmp_path, capsys):
+    _, _, tr, data, _ = small_run
+    lines = (tmp_path / "data.csv").read_text().splitlines()
+    header = lines[0].split(",")
+    row = lines[3].split(",")
+    row[header.index("x0")] = "nan"
+    lines[3] = ",".join(row)
+    bad = _write(tmp_path / "nan.csv", "\n".join(lines) + "\n")
+    capsys.readouterr()
+    rc = cli.main(["train", "--data", bad, "--out", str(tmp_path / "m2.json"),
+                   "--train-config", tr])
+    assert rc == 2
+    assert "row 3, column 'x0'" in capsys.readouterr().err
+
+
+def test_predict_with_model_missing_net_config_exits_2(small_run, tmp_path, capsys):
+    _, _, _, data, model = small_run
+    doc = json.loads((tmp_path / "model.json").read_text())
+    del doc["net_config"]
+    broken = _write(tmp_path / "broken.json", json.dumps(doc))
+    capsys.readouterr()
+    rc = cli.main(["predict", "--model", broken, "--data", data,
+                   "--mode", "cf", "--out", str(tmp_path / "cf.csv")])
+    assert rc == 2
+    assert "net_config" in capsys.readouterr().err

@@ -217,3 +217,24 @@ def test_evaluate_all_model_path_is_deterministic():
     assert set(r1.metrics) == expect
     for name, vals in r1.metrics.items():
         assert set(vals) == {"in", "out"}, name
+
+
+def test_sq_dists_matches_direct_differences():
+    rng = np.random.default_rng(8)
+    A, B = rng.standard_normal((30, 4)), rng.standard_normal((20, 4)) + 1.0
+    direct = np.sum((A[:, None, :] - B[None, :, :]) ** 2, axis=2)
+    got = mt._sq_dists(A, B)
+    assert got.shape == (30, 20)
+    np.testing.assert_allclose(got, direct, rtol=1e-12, atol=1e-12)
+    assert np.all(mt._sq_dists(A, A) >= 0.0)
+
+
+@pytest.mark.parametrize("seed", [74, 148])
+def test_mmd_equal_valued_copies_is_exactly_zero(seed):
+    # On these draws, numpy's syrk path for A @ A.T (taken when both operands
+    # share one buffer) and gemm on a copy differed in the last bit.
+    rng = np.random.default_rng(seed)
+    n, d = int(rng.integers(2, 300)), int(rng.integers(1, 12))
+    z, x = rng.standard_normal(n), rng.standard_normal((n, d))
+    a = rng.integers(0, 2, n)
+    assert mt.mmd_squared(z, x, a, z.copy(), x.copy(), a.copy()) == 0.0

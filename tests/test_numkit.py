@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -219,3 +221,25 @@ def test_stable_sigmoid_matches_reference(x):
     with np.errstate(over="ignore"):
         ref = 1.0 / (1.0 + np.exp(-x))
     np.testing.assert_allclose(vals[:4], ref, rtol=1e-12)
+
+
+def _masked_sigmoid(x):
+    # The boolean-mask formula sigmoid_kernel replaced, kept as the reference.
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def test_sigmoid_kernel_bitwise_equals_masked_formula():
+    rng = np.random.default_rng(11)
+    extremes = [800.0, -800.0, 0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan,
+                709.8, -745.2, 5e-324, -5e-324, 36.8, -36.8]
+    x = np.concatenate([rng.standard_normal(3990) * 30.0, extremes]).reshape(-1, 7)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = nk.sigmoid_kernel(x)
+    assert got.dtype == np.float64 and got.shape == x.shape
+    assert got.tobytes() == _masked_sigmoid(x).tobytes()

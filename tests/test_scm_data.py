@@ -242,3 +242,11 @@ def test_propensity_clipping_bounds():
     ds = sd.CausalDataset(x, a, np.zeros(500))
     w = sd.fit_propensity(ds).predict(ds.x)
     assert w.min() >= 0.01 and w.max() <= 0.99
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN"])
+def test_csv_non_finite_cell_names_row_and_column(tmp_path, cell):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"x0,x1,a,y\n0.1,0.2,1,0.3\n0.1,{cell},0,0.3\n0.5,0.5,1,{cell}\n")
+    with pytest.raises(SchemaError, match="row 2, column 'x1'"):
+        sd.load_csv(path)

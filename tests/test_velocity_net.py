@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from causalflow import numkit as nk
 from causalflow import velocity_net as vn
 from causalflow.errors import ConfigError, ContractError, DimensionError
 from causalflow.scm_data import Scaler
@@ -168,4 +169,66 @@ def test_model_file_version_and_tensor_errors(tmp_path):
     doc_shape["params"]["proj_b"]["shape"] = [2, 2]
     path.write_text(json.dumps(doc_shape))
     with pytest.raises(ConfigError, match="proj_b"):
+        vn.load_model(path)
+
+
+def _busy_net(d_x=3, seed=9):
+    """Seeded net with nonzero biases, so every primitive sees varied input."""
+    net = _net(d_x=d_x)
+    rng = np.random.default_rng(seed)
+    for name, t in net.params.items():
+        net.params[name] = t + rng.standard_normal(t.shape)
+    return net
+
+
+def test_forward_batch_blocks_match_one_pass():
+    net = _busy_net()
+    n = 5 * vn._ROW_BLOCK // 2
+    ys, ts, x, a = _rand_inputs(net, n, seed=3)
+    got = vn.forward_batch(net, ys, ts, x, a)
+    c = vn.cond_features(x, a, ts, net.cfg)
+    both = vn.core_forward(vn._NumpyOps, net.params, ys.reshape(-1, 1), c, net.cfg)
+    want = np.where(a == 1, both[:, 1], both[:, 0])
+    assert got.shape == (n,)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_numpy_and_tape_backends_agree_bitwise():
+    net = _busy_net(d_x=4, seed=2)
+    ys, ts, x, a = _rand_inputs(net, 300, seed=5)
+    c = vn.cond_features(x, a, ts, net.cfg)
+    y_col = ys.reshape(-1, 1)
+    want = vn.core_forward(vn._NumpyOps, net.params, y_col, c, net.cfg)
+    tape = nk.Tape()
+    p = {name: tape.param(name, t) for name, t in net.params.items()}
+    got = vn.core_forward(vn.TapeOps(tape), p, tape.const(y_col), tape.const(c), net.cfg)
+    assert got.value.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("edit, needle", [
+    (lambda d: d.pop("net_config"), "net_config"),
+    (lambda d: d.pop("params"), "params"),
+    (lambda d: d["net_config"].update(banana=1), "banana"),
+    (lambda d: d["net_config"].pop("d_x"), "d_x"),
+    (lambda d: d["net_config"].update(d_x="3"), "d_x"),
+    (lambda d: d["net_config"].update(hidden_dim=2.5), "hidden_dim"),
+    (lambda d: d["net_config"].update(time_encoding=7), "time_encoding"),
+    (lambda d: d["net_config"].update(d_x=0), "d_x"),
+    (lambda d: d["params"]["proj_w"].pop("data"), "proj_w"),
+    (lambda d: d["params"]["embed_b"].update(data=["x"] * 4), "embed_b"),
+    (lambda d: d["params"]["proj_b"].update(data=[float("nan"), 0.0]), "proj_b"),
+    (lambda d: d.update(scaler={"x_mean": [0.0]}), "scaler"),
+    (lambda d: d["scaler"].update(x_sd=[1.0]), "scaler"),
+    (lambda d: d["scaler"].update(x_mean=["a", "b", "c"]), "scaler"),
+    (lambda d: d["scaler"].update(y_sd=0.0), "scaler"),
+])
+def test_load_model_rejects_malformed_documents(tmp_path, edit, needle):
+    import json
+
+    path = tmp_path / "model.json"
+    vn.save_model(vn.FlowModel(_net(), Scaler.identity(3), {}), path)
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError, match=needle):
         vn.load_model(path)
