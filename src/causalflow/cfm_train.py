@@ -34,8 +34,13 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch_size < 1 or self.max_iters < 1 or self.loss_log_every < 1:
             raise ContractError("batch_size, max_iters, loss_log_every must be positive")
-        if self.lr < 0:
-            raise ContractError("lr must be non-negative")
+        if not 0.0 <= self.lr < np.inf:
+            raise ContractError(f"lr must be finite and non-negative, got {self.lr}")
+        for key in ("adam_beta1", "adam_beta2"):
+            if not 0.0 <= getattr(self, key) < 1.0:
+                raise ContractError(f"{key} must lie in [0, 1), got {getattr(self, key)}")
+        if not 0.0 < self.adam_eps < np.inf:
+            raise ContractError(f"adam_eps must be finite and positive, got {self.adam_eps}")
 
     def to_dict(self) -> dict:
         return {"batch_size": self.batch_size, "max_iters": self.max_iters, "lr": self.lr,

@@ -279,7 +279,9 @@ def _eval_once(model, tr, te, args) -> dict:
 def cmd_eval(args, argv) -> int:
     t0 = time.perf_counter()
     inputs: list[str] = []
-    if args.folds:
+    if args.folds is not None:
+        if args.folds < 2:
+            raise ConfigError("k-fold needs at least 2 folds")
         if not args.data:
             raise ConfigError("--folds needs --data")
         ds = load_csv(args.data)

@@ -174,9 +174,10 @@ def load_csv(path) -> CausalDataset:
     The header must contain x0..x{d-1}, a, y; mu0/mu1/ycf are optional.
     Raises SchemaError for header problems and for nan/inf cells (naming
     the 1-based data row and the column), and ValueError (naming the
-    1-based data row) for other bad cell values.
+    1-based data row) for other bad cell values. A leading UTF-8
+    byte-order mark, as spreadsheet programs write it, is skipped.
     """
-    with open(path, "r", newline="", encoding="utf-8") as fh:
+    with open(path, "r", newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

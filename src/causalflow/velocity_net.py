@@ -3,14 +3,16 @@
 The net maps (y, t, x, a) to a scalar velocity. The outcome is embedded,
 modulated by feature-wise scale/shift computed from the conditioning vector
 c = concat(x, a, enc(t)), passed through two gated residual blocks, and
-projected to one head per treatment arm. The same layer recipe runs on two
-backends: plain numpy for inference and the numkit tape for training, so
-both paths produce identical numbers.
+projected to one head per treatment arm. The same layer recipe runs on three
+backends: plain numpy for inference, numpy with forward-mode tangents for
+the exact dv/dy of log-densities, and the numkit tape for training. All
+three produce identical velocities.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,7 +24,12 @@ from .scm_data import Scaler
 
 MODEL_FORMAT_VERSION = 1
 _T_TOL = 1e-9
-_ROW_BLOCK = 2048  # rows per network pass in forward_batch
+# Rows per network pass. At the default width (d_x=10, hidden 11) a 1024-row
+# temporary takes 90 KB, under glibc's 128 KB mmap threshold, so the
+# allocator reuses heap chunks. At 2048 rows (180 KB), whether every pass
+# page-faulted its temporaries afresh depended on the allocator's history,
+# and one cate query took 1.6 s or 2.8 s from one process to the next.
+_ROW_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -179,6 +186,52 @@ class TapeOps:
         return nk.mul(v, self.tape.const(np.full(v.shape, 0.5)))
 
 
+def _bilinear(op):
+    def f(a, b):
+        if type(a) is not tuple:
+            return op(a, b) if type(b) is not tuple else (op(a, b[0]), op(a, b[1]))
+        if type(b) is not tuple:
+            return op(a[0], b), op(a[1], b)
+        return op(a[0], b[0]), op(a[1], b[0]) + op(a[0], b[1])
+
+    return staticmethod(f)
+
+
+def _sum(a, b):
+    if type(a) is not tuple:
+        return a + b if type(b) is not tuple else (a + b[0], b[1])
+    if type(b) is not tuple:
+        return a[0] + b, a[1]
+    return a[0] + b[0], a[1] + b[1]
+
+
+def _chain(op, slope):
+    """Elementwise op whose derivative is slope(output)."""
+    def f(u):
+        if type(u) is not tuple:
+            return op(u)
+        out = op(u[0])
+        return out, slope(out) * u[1]
+
+    return staticmethod(f)
+
+
+class DualOps:
+    """Forward-mode twin of the numpy ops, carrying d/dy through core_forward.
+
+    A (value, tangent) tuple carries a derivative; a bare array has zero
+    tangent, so the parameter and conditioning matmuls stay single. Values
+    come from the _NumpyOps expressions, so they match it bit for bit.
+    """
+
+    matmul = _bilinear(operator.matmul)
+    mul = _bilinear(operator.mul)
+    add = badd = staticmethod(_sum)
+    tanh = _chain(np.tanh, lambda t: 1.0 - t * t)
+    sigmoid = _chain(sigmoid_kernel, lambda s: s - s * s)
+    halve = _chain(_NumpyOps.halve, lambda _: 0.5)
+
+
 def core_forward(ops, p, y_col, c, cfg: NetConfig):
     """Both-arm output (n, 2); p maps names to backend values."""
     h = ops.badd(ops.matmul(y_col, p["embed_w"]), p["embed_b"])
@@ -202,10 +255,7 @@ def core_forward(ops, p, y_col, c, cfg: NetConfig):
     return ops.badd(ops.matmul(h, p["proj_w"]), p["proj_b"])
 
 
-def _check_inputs(net: VelocityNet, ys, ts, x, a):
-    ys = np.asarray(ys, dtype=np.float64).reshape(-1)
-    n = ys.shape[0]
-    ts = np.broadcast_to(np.asarray(ts, dtype=np.float64), (n,))
+def _check_cond(net: VelocityNet, n: int, x, a) -> tuple[np.ndarray, np.ndarray]:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 1:
         x = np.broadcast_to(x, (n, x.shape[0]))
@@ -215,26 +265,64 @@ def _check_inputs(net: VelocityNet, ys, ts, x, a):
     a = np.broadcast_to(np.asarray(a), (n,))
     if n and not ((a == 0) | (a == 1)).all():
         raise ContractError("treatment must be 0 or 1")
-    if n and (ts.min() < -_T_TOL or ts.max() > 1.0 + _T_TOL):
-        raise ContractError(f"t outside [0, 1]: range [{ts.min()}, {ts.max()}]")
-    return ys, np.clip(ts, 0.0, 1.0), x, a.astype(np.int64)
+    return x, a
 
 
-def forward_batch(net: VelocityNet, ys, ts, x, a) -> np.ndarray:
-    """Velocity of the selected arm for each row.
+def _blocks(net: VelocityNet, ys: np.ndarray, c: np.ndarray, arm1: np.ndarray, tangent: bool):
+    """Selected-arm velocity, and with tangent also its forward-mode dv/dy.
 
     Rows pass through the network in blocks of _ROW_BLOCK. Rows are
     independent, so the result equals one pass over all rows bit for bit,
     while temporaries stay cache-sized however many rows a call carries.
     """
-    ys, ts, x, a = _check_inputs(net, ys, ts, x, a)
-    out = np.empty(ys.shape[0])
+    v = np.empty(ys.shape[0])
+    dv = np.empty(ys.shape[0]) if tangent else None
     for lo in range(0, ys.shape[0], _ROW_BLOCK):
         rows = slice(lo, lo + _ROW_BLOCK)
-        c = cond_features(x[rows], a[rows], ts[rows], net.cfg)
-        both = core_forward(_NumpyOps, net.params, ys[rows].reshape(-1, 1), c, net.cfg)
-        out[rows] = np.where(a[rows] == 1, both[:, 1], both[:, 0])
-    return out
+        y_col = ys[rows].reshape(-1, 1)
+        if tangent:
+            both, dboth = core_forward(DualOps, net.params, (y_col, np.ones_like(y_col)),
+                                       c[rows], net.cfg)
+            dv[rows] = np.where(arm1[rows], dboth[:, 1], dboth[:, 0])
+        else:
+            both = core_forward(_NumpyOps, net.params, y_col, c[rows], net.cfg)
+        v[rows] = np.where(arm1[rows], both[:, 1], both[:, 0])
+    return (v, dv) if tangent else v
+
+
+def forward_batch(net: VelocityNet, ys, ts, x, a, tangent: bool = False):
+    """Velocity of the selected arm for each row, after checking every input.
+
+    With tangent, returns (v, dv/dy), the derivative taken by forward mode.
+    """
+    ys = np.asarray(ys, dtype=np.float64).reshape(-1)
+    n = ys.shape[0]
+    x, a = _check_cond(net, n, x, a)
+    ts = np.broadcast_to(np.asarray(ts, dtype=np.float64), (n,))
+    if n and (ts.min() < -_T_TOL or ts.max() > 1.0 + _T_TOL):
+        raise ContractError(f"t outside [0, 1]: range [{ts.min()}, {ts.max()}]")
+    c = cond_features(x, a, np.clip(ts, 0.0, 1.0), net.cfg)
+    return _blocks(net, ys, c, a == 1, tangent)
+
+
+def evaluator(net: VelocityNet, n: int, x, a, tangent: bool = False):
+    """Evaluator f(ys, t) over n rows with fixed conditioning (x, a).
+
+    (x, a) are checked and the conditioning matrix is built once; each call
+    only writes its time into the time columns. f(ys, t) equals
+    forward_batch(net, ys, full(n, t), x, a, tangent) bit for bit.
+    """
+    x, a = _check_cond(net, n, x, a)
+    c = cond_features(x, a, np.zeros(n), net.cfg)
+    arm1 = a == 1
+
+    def f(ys, t):
+        if not -_T_TOL <= t <= 1.0 + _T_TOL:
+            raise ContractError(f"t outside [0, 1]: {t}")
+        c[:, net.cfg.d_x + 1:] = encode_time(np.array([min(max(t, 0.0), 1.0)]), net.cfg)
+        return _blocks(net, ys, c, arm1, tangent)
+
+    return f
 
 
 def forward(net: VelocityNet, y: float, t: float, x, a: int) -> float:

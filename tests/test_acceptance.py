@@ -18,12 +18,12 @@ from causalflow import cli
 from causalflow import numkit as nk
 from causalflow import metrics as mt
 from causalflow.cfm_train import TrainConfig, cfm_loss, train
-from causalflow.ode_engine import (DivergenceConfig, OdeConfig, divergence,
-                                   decode_batch, encode_batch,
-                                   encode_with_logdensity_batch, _integrate)
+from causalflow.ode_engine import (OdeConfig, divergence, decode_batch,
+                                   encode_batch, encode_with_logdensity_batch,
+                                   _integrate)
 from causalflow.scm_data import (default_config, generate_ihdp_like, split,
                                  standardize)
-from causalflow.velocity_net import FlowModel, NetConfig, init
+from causalflow.velocity_net import FlowModel, NetConfig, forward_batch, init
 
 ODE = OdeConfig(n_steps=64)
 
@@ -163,20 +163,20 @@ def test_gate_07_density_normalizes(bench):
              + " (all in [0.98, 1.02])")
 
 
-def test_gate_08_divergence_estimators_agree(bench):
+def test_gate_08_jvp_divergence_matches_central_difference(bench):
     rng = np.random.default_rng(8)
-    hutch = DivergenceConfig(mode="hutchinson", n_probes=64, probe_seed=3)
+    s = 1e-4
     worst = 0.0
     for _ in range(50):
         y = float(rng.standard_normal() * 2)
         t = float(rng.random())
         i = int(rng.integers(0, bench.test_ds.n))
         a = int(rng.integers(0, 2))
-        d_fd = divergence(bench.net, y, t, bench.x_std[i], a)
-        d_h = divergence(bench.net, y, t, bench.x_std[i], a, hutch)
-        worst = max(worst, abs(d_fd - d_h))
-    _verdict(8, worst <= 1e-3, f"worst |exact-fd - hutchinson| {worst:.2e} "
-                               f"(<= 1e-3, 64 probes, sigma 1e-4)")
+        x = bench.x_std[i]
+        hi, lo = forward_batch(bench.net, [y + s, y - s], t, np.tile(x, (2, 1)), a)
+        worst = max(worst, abs(divergence(bench.net, y, t, x, a) - (hi - lo) / (2.0 * s)))
+    _verdict(8, worst <= 1e-6, f"worst |jvp - central difference| {worst:.2e} "
+                               f"(<= 1e-6, 50 points, step 1e-4)")
 
 
 def test_gate_09_w1_oracle_and_per_arm_gap(bench):

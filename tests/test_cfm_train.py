@@ -225,3 +225,14 @@ def test_train_config_validation():
         ct.TrainConfig(batch_size=0)
     with pytest.raises(ContractError):
         ct.TrainConfig(lr=-1.0)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("lr", float("nan")), ("lr", float("inf")),
+    ("adam_beta1", 1.0), ("adam_beta1", -0.1), ("adam_beta1", float("nan")),
+    ("adam_beta2", 1.0), ("adam_beta2", float("nan")),
+    ("adam_eps", 0.0), ("adam_eps", float("nan")), ("adam_eps", float("inf")),
+])
+def test_train_config_rejects_non_finite_or_out_of_range_optimizer_constants(key, value):
+    with pytest.raises(ContractError, match=key):
+        ct.TrainConfig(**{key: value})

@@ -280,3 +280,23 @@ def test_predict_with_model_missing_net_config_exits_2(small_run, tmp_path, caps
                    "--mode", "cf", "--out", str(tmp_path / "cf.csv")])
     assert rc == 2
     assert "net_config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["lr = nan", "adam_beta2 = 1.0", "adam_eps = 0"])
+def test_train_with_bad_optimizer_constant_exits_2(small_run, tmp_path, capsys, line):
+    _, _, _, data, _ = small_run
+    cfg = _write(tmp_path / "bad_train.cfg", f"max_iters = 3\n{line}\n")
+    capsys.readouterr()
+    rc = cli.main(["train", "--data", data, "--out", str(tmp_path / "m2.json"),
+                   "--train-config", cfg])
+    assert rc == 2
+    assert line.split(" ")[0] in capsys.readouterr().err
+
+
+def test_eval_with_one_fold_exits_2(small_run, tmp_path, capsys):
+    _, _, tr, data, _ = small_run
+    capsys.readouterr()
+    rc = cli.main(["eval", "--data", data, "--folds", "1", "--train-config", tr,
+                   "--out", str(tmp_path / "folds.json")])
+    assert rc == 2
+    assert "k-fold needs at least 2 folds" in capsys.readouterr().err

@@ -5,7 +5,7 @@ from helpers import linear_net as _linear_net
 
 from causalflow import ode_engine as oe
 from causalflow import velocity_net as vn
-from causalflow.errors import ContractError, IntegrationError
+from causalflow.errors import ContractError, DimensionError, IntegrationError
 
 
 def test_linear_net_construction():
@@ -76,14 +76,9 @@ def test_decode_monotone_in_z():
     assert np.all(np.diff(ys) > 0)
 
 
-def test_divergence_linear_field_both_modes():
+def test_divergence_linear_field_is_exact():
     net = _linear_net(slope=3.0, intercept=0.2)
-    x = np.zeros(2)
-    d_fd = oe.divergence(net, 0.4, 0.5, x, 1)
-    assert abs(d_fd - 3.0) <= 1e-3
-    hut = oe.DivergenceConfig(mode="hutchinson", n_probes=16, probe_seed=1)
-    d_h = oe.divergence(net, 0.4, 0.5, x, 1, hut)
-    assert abs(d_h - 3.0) <= 1e-3
+    assert oe.divergence(net, 0.4, 0.5, np.zeros(2), 1) == 3.0
 
 
 def test_divergence_constant_field_is_zero():
@@ -91,16 +86,15 @@ def test_divergence_constant_field_is_zero():
     assert abs(oe.divergence(net, 1.1, 0.25, np.zeros(2), 0)) <= 1e-9
 
 
-def test_hutchinson_converges_to_exact_fd():
+def test_jvp_divergence_matches_central_difference():
     net = vn.init(vn.NetConfig(d_x=3, init_seed=5))
     rng = np.random.default_rng(4)
-    hut = oe.DivergenceConfig(mode="hutchinson", n_probes=64, probe_seed=9)
+    s = 1e-4
     for _ in range(50):
         y, t = rng.standard_normal() * 2, rng.random()
         x, a = rng.standard_normal(3), int(rng.integers(0, 2))
-        d_fd = oe.divergence(net, y, t, x, a)
-        d_h = oe.divergence(net, y, t, x, a, hut)
-        assert abs(d_h - d_fd) <= 1e-3
+        hi, lo = vn.forward_batch(net, [y + s, y - s], t, np.tile(x, (2, 1)), a)
+        assert abs(oe.divergence(net, y, t, x, a) - (hi - lo) / (2.0 * s)) <= 1e-6
 
 
 def test_logdensity_zero_field_standard_normal():
@@ -161,10 +155,6 @@ def test_config_validation():
     with pytest.raises(ContractError):
         oe.OdeConfig(n_steps=0)
     with pytest.raises(ContractError):
-        oe.DivergenceConfig(mode="autodiff")
-    with pytest.raises(ContractError):
-        oe.DivergenceConfig(sigma_div=0.0)
-    with pytest.raises(ContractError):
         oe.integrate(vn.init(vn.NetConfig(d_x=2)), [0.0], np.zeros(2), 1,
                      direction="sideways")
 
@@ -185,3 +175,37 @@ def test_batch_matches_scalar_calls():
     batch = oe.encode_batch(net, ys, x, a)
     singles = np.array([oe.encode(net, ys[i], x[i], int(a[i])) for i in range(10)])
     np.testing.assert_allclose(batch, singles, atol=1e-12)
+
+
+def test_logdensity_paths_match_plain_integration_on_single_rows():
+    net = vn.init(vn.NetConfig(d_x=3, init_seed=12))
+    rng = np.random.default_rng(20)
+    cfg = oe.OdeConfig(n_steps=16)
+    for _ in range(20):
+        y, x, a = rng.standard_normal(1), rng.standard_normal((1, 3)), rng.integers(0, 2, 1)
+        z, _ = oe.encode_with_logdensity_batch(net, y, x, a, cfg)
+        assert z.tobytes() == oe.encode_batch(net, y, x, a, cfg).tobytes()
+        back, _ = oe.decode_with_logdensity_batch(net, y, x, a, cfg)
+        assert back.tobytes() == oe.decode_batch(net, y, x, a, cfg).tobytes()
+
+
+_ENTRY_POINTS = [
+    lambda net, ys, x, a: oe.encode_batch(net, ys, x, a),
+    lambda net, ys, x, a: oe.decode_batch(net, ys, x, a),
+    lambda net, ys, x, a: oe.encode(net, ys[0], x, a),
+    lambda net, ys, x, a: oe.decode(net, ys[0], x, a),
+    lambda net, ys, x, a: oe.integrate(net, ys, x, a),
+    lambda net, ys, x, a: oe.encode_with_logdensity_batch(net, ys, x, a),
+    lambda net, ys, x, a: oe.decode_with_logdensity_batch(net, ys, x, a),
+    lambda net, ys, x, a: oe.divergence(net, ys[0], 0.5, x, a),
+]
+
+
+@pytest.mark.parametrize("call", _ENTRY_POINTS)
+def test_entry_points_check_conditioning(call):
+    net = vn.init(vn.NetConfig(d_x=2, init_seed=1))
+    ys = np.array([0.3])
+    with pytest.raises(ContractError, match="treatment must be 0 or 1"):
+        call(net, ys, np.zeros(2), 2)
+    with pytest.raises(DimensionError, match=r"x has shape \(1, 3\), expected \(1, 2\)"):
+        call(net, ys, np.zeros(3), 1)

@@ -110,6 +110,17 @@ def test_csv_round_trip_exact(tmp_path):
     np.testing.assert_array_equal(back.ycf, ds.ycf)
 
 
+def test_csv_with_byte_order_mark_loads_like_plain(tmp_path):
+    ds = sd.generate_ihdp_like(_cfg(n=30, seed=2))
+    plain = tmp_path / "plain.csv"
+    sd.write_csv(ds, plain)
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    want, got = sd.load_csv(plain), sd.load_csv(bom)
+    for name in ("x", "a", "y", "mu0", "mu1", "ycf"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+
+
 def test_csv_minimal_schema(tmp_path):
     path = tmp_path / "mini.csv"
     path.write_text("x0,x1,a,y\n0.5,-1.0,1,2.25\n")

@@ -172,9 +172,9 @@ def test_model_file_version_and_tensor_errors(tmp_path):
         vn.load_model(path)
 
 
-def _busy_net(d_x=3, seed=9):
+def _busy_net(d_x=3, seed=9, **over):
     """Seeded net with nonzero biases, so every primitive sees varied input."""
-    net = _net(d_x=d_x)
+    net = _net(d_x=d_x, **over)
     rng = np.random.default_rng(seed)
     for name, t in net.params.items():
         net.params[name] = t + rng.standard_normal(t.shape)
@@ -203,6 +203,46 @@ def test_numpy_and_tape_backends_agree_bitwise():
     p = {name: tape.param(name, t) for name, t in net.params.items()}
     got = vn.core_forward(vn.TapeOps(tape), p, tape.const(y_col), tape.const(c), net.cfg)
     assert got.value.tobytes() == want.tobytes()
+
+
+def test_dual_backend_values_match_numpy_bitwise():
+    net = _busy_net(d_x=4, seed=3)
+    ys, ts, x, a = _rand_inputs(net, 300, seed=6)
+    c = vn.cond_features(x, a, ts, net.cfg)
+    y_col = ys.reshape(-1, 1)
+    want = vn.core_forward(vn._NumpyOps, net.params, y_col, c, net.cfg)
+    value, tangent = vn.core_forward(vn.DualOps, net.params,
+                                     (y_col, np.ones_like(y_col)), c, net.cfg)
+    assert value.tobytes() == want.tobytes()
+    assert tangent.shape == want.shape
+
+
+def test_tangent_matches_central_difference():
+    net = _busy_net(d_x=3, seed=4)
+    ys, ts, x, a = _rand_inputs(net, 200, seed=7)
+    v, dv = vn.forward_batch(net, ys, ts, x, a, tangent=True)
+    assert v.tobytes() == vn.forward_batch(net, ys, ts, x, a).tobytes()
+    s = 3e-6
+    cd = (vn.forward_batch(net, ys + s, ts, x, a)
+          - vn.forward_batch(net, ys - s, ts, x, a)) / (2.0 * s)
+    np.testing.assert_allclose(dv, cd, rtol=1e-6, atol=1e-9)
+
+
+@pytest.mark.parametrize("time_encoding", ["scalar-append", "sinusoidal"])
+def test_evaluator_matches_forward_batch_bitwise(time_encoding):
+    net = _busy_net(time_encoding=time_encoding)
+    n = 5 * vn._ROW_BLOCK // 2
+    ys, _, x, a = _rand_inputs(net, n, seed=8)
+    f = vn.evaluator(net, n, x, a)
+    fd = vn.evaluator(net, n, x, a, tangent=True)
+    for t in (0.0, 0.37, 1.0 + 1e-10):
+        want, want_d = vn.forward_batch(net, ys, np.full(n, t), x, a, tangent=True)
+        assert f(ys, t).tobytes() == want.tobytes()
+        got, got_d = fd(ys, t)
+        assert got.tobytes() == want.tobytes()
+        assert got_d.tobytes() == want_d.tobytes()
+    with pytest.raises(ContractError, match="t outside"):
+        f(ys, 1.5)
 
 
 @pytest.mark.parametrize("edit, needle", [
