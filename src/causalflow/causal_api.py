@@ -31,10 +31,13 @@ def _check_x(model: FlowModel, x) -> np.ndarray:
 
 
 def _check_a(a, n: int) -> np.ndarray:
-    a = np.broadcast_to(np.asarray(a), (n,)).astype(np.int64)
-    if not np.all((a == 0) | (a == 1)):
+    try:
+        a = np.broadcast_to(np.asarray(a), (n,))
+    except ValueError:
+        raise DimensionError(f"treatment has shape {np.shape(a)}, expected ({n},)") from None
+    if not np.all((a == 0) | (a == 1)):  # before the cast, which would turn 0.5 into 0
         raise ContractError("treatment values must be 0 or 1")
-    return a
+    return a.astype(np.int64)
 
 
 def _row_noise(seed: int, row: int, n_samples: int) -> np.ndarray:
@@ -51,9 +54,6 @@ class PoSampleSet:
     y: np.ndarray
     log_p: np.ndarray
     seed: int
-
-    def mean_estimate(self) -> float:
-        return float(np.mean(self.y))
 
     def map_estimate(self) -> float:
         # ties resolve to the lowest index

@@ -4,7 +4,8 @@ Config files are flat key=value text (hash comments allowed). Every command
 that writes an artifact also writes <out>.manifest.json recording the
 command line, seeds, config paths, input/output digests and wall time; the
 artifacts themselves are byte-reproducible, the manifest is not (it holds
-the wall time).
+the wall time). Every file is written through scm_data.atomic_write, so a
+failed run leaves the previous file in place.
 """
 
 from __future__ import annotations
@@ -23,11 +24,9 @@ from . import metrics as mt
 from .cfm_train import TrainConfig, train
 from .errors import ConfigError, ContractError, NumericError, SchemaError
 from .ode_engine import OdeConfig
-from .scm_data import (DgpConfig, default_config, generate_ihdp_like,
-                       load_csv, split, standardize, write_csv)
+from .scm_data import (DgpConfig, atomic_write, default_config, fmt_float,
+                       generate_ihdp_like, load_csv, standardize, write_csv)
 from .velocity_net import FlowModel, NetConfig, load_model, save_model
-
-_fmt = lambda v: repr(float(v))
 
 
 # ---------------------------------------------------------------- config io
@@ -159,7 +158,7 @@ def _sha256(path) -> str:
 
 
 def _write_json(doc: dict, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")
 
@@ -214,10 +213,10 @@ def cmd_train(args, argv) -> int:
     })
     save_model(model, args.out)
     loss_path = _loss_csv_path(args.out)
-    with open(loss_path, "w", encoding="utf-8") as fh:
+    with atomic_write(loss_path) as fh:
         fh.write("iter,loss\n")
         for it, loss in report.loss_history:
-            fh.write(f"{it},{_fmt(loss)}\n")
+            fh.write(f"{it},{fmt_float(loss)}\n")
     write_manifest(args.out, "train", argv, {"train_seed": train_cfg.seed},
                    {"train_config": args.train_config,
                     "net_config": args.net_config},
@@ -241,26 +240,26 @@ def cmd_predict(args, argv) -> int:
         lines.append("row,mode,value,logp")
         for i in range(ds.n):
             for s in range(args.n_samples):
-                lines.append(f"{i},po,{_fmt(y[i, s])},{_fmt(lp[i, s])}")
+                lines.append(f"{i},po,{fmt_float(y[i, s])},{fmt_float(lp[i, s])}")
     elif mode == "cf":
         y_cf = api.predict_counterfactual_batch(model, ds.y, ds.x, ds.a, ode_cfg)
         lines.append("row,mode,value")
-        lines.extend(f"{i},cf,{_fmt(v)}" for i, v in enumerate(y_cf))
+        lines.extend(f"{i},cf,{fmt_float(v)}" for i, v in enumerate(y_cf))
     elif mode == "cate":
         tau = api.estimate_cate(model, ds.x, args.n_samples, ode_cfg, args.seed)
         lines.append("row,mode,value")
-        lines.extend(f"{i},cate,{_fmt(v)}" for i, v in enumerate(tau))
+        lines.extend(f"{i},cate,{fmt_float(v)}" for i, v in enumerate(tau))
     elif mode == "map":
         vals = api.map_po_batch(model, ds.x, ds.a, args.n_samples, ode_cfg,
                                 args.seed)
         lines.append("row,mode,value")
-        lines.extend(f"{i},map,{_fmt(v)}" for i, v in enumerate(vals))
+        lines.extend(f"{i},map,{fmt_float(v)}" for i, v in enumerate(vals))
     else:  # density
         lp = api.log_density_batch(model, ds.y, ds.x, ds.a, ode_cfg)
         lines.append("row,mode,value,logp")
-        lines.extend(f"{i},density,{_fmt(ds.y[i])},{_fmt(v)}"
+        lines.extend(f"{i},density,{fmt_float(ds.y[i])},{fmt_float(v)}"
                      for i, v in enumerate(lp))
-    with open(args.out, "w", encoding="utf-8") as fh:
+    with atomic_write(args.out) as fh:
         fh.write("\n".join(lines) + "\n")
     write_manifest(args.out, "predict", argv, {"seed": args.seed}, {},
                    [args.model, args.data], [args.out],

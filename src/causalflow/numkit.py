@@ -4,7 +4,7 @@ Matrices are plain 2-D numpy arrays. A Tape records every primitive
 application in forward order; tape_backward replays it in reverse and
 accumulates gradients for the leaves that were registered as parameters.
 The primitive set is closed: matmul, add, badd (row-broadcast add), mul,
-tanh, sigmoid, relu, mean, square.
+tanh, sigmoid, mean, square.
 """
 
 from __future__ import annotations
@@ -134,10 +134,6 @@ def sigmoid(a: Ref) -> Ref:
     return a.tape._push("sigmoid", (a.idx,), sigmoid_kernel(a.value))
 
 
-def relu(a: Ref) -> Ref:
-    return a.tape._push("relu", (a.idx,), np.maximum(a.value, 0.0))
-
-
 def mean(a: Ref) -> Ref:
     if a.value.size == 0:
         raise ContractError("mean: empty matrix")
@@ -208,8 +204,6 @@ def tape_backward(tape: Tape) -> dict[str, Matrix]:
             _acc(parents[0], g * (1.0 - node.value * node.value))
         elif op == "sigmoid":
             _acc(parents[0], g * node.value * (1.0 - node.value))
-        elif op == "relu":
-            _acc(parents[0], g * (pvals[0] > 0.0))
         elif op == "mean":
             _acc(parents[0], np.full(pvals[0].shape, g[0, 0] / pvals[0].size))
         elif op == "square":

@@ -1,10 +1,11 @@
 """Deterministic RK4 transport between outcomes and base noise.
 
 Encoding integrates the velocity field from t=0 (data) to t=1 (noise);
-decoding runs the same field backward. Log-densities accumulate the
-field's divergence along the trajectory inside the same RK4 pass. For a
-scalar outcome the divergence is dv/dy, which the net's forward-mode
-backend gives exactly alongside the velocity.
+decoding runs the same field backward. Every query runs one RK4 loop,
+_integrate. Log-densities run it on the state stacked with the running
+divergence integral, so both share every RK4 stage. For a scalar outcome
+the divergence is dv/dy, which the net's forward-mode backend gives
+exactly alongside the velocity.
 
 Each entry point checks (x, a) and builds the conditioning once, then
 every RK4 stage only sets the time.
@@ -25,17 +26,10 @@ LOG_2PI = float(np.log(2.0 * np.pi))
 @dataclass(frozen=True)
 class OdeConfig:
     n_steps: int = 64
-    save_trajectory: bool = False
 
     def __post_init__(self):
         if self.n_steps < 1:
             raise ContractError("n_steps must be at least 1")
-
-
-@dataclass
-class OdeResult:
-    y_end: np.ndarray
-    trajectory: list[tuple[float, np.ndarray]] | None = None
 
 
 def rk4_step(f, y, t: float, h: float):
@@ -49,80 +43,50 @@ def rk4_step(f, y, t: float, h: float):
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _times(t0: float, t1: float, n_steps: int, k: int) -> float:
-    return t0 + (k * (t1 - t0)) / n_steps
-
-
-def _integrate(f, y0: np.ndarray, t0: float, t1: float, n_steps: int,
-               save: bool = False):
+def _integrate(f, y0: np.ndarray, t0: float, t1: float, n_steps: int) -> np.ndarray:
     h = (t1 - t0) / n_steps
     y = np.array(y0, dtype=np.float64)
-    traj = [(t0, y.copy())] if save else None
     for k in range(n_steps):
-        y = rk4_step(f, y, _times(t0, t1, n_steps, k), h)
-        if save:
-            traj.append((_times(t0, t1, n_steps, k + 1), y.copy()))
-    if y.size and not np.all(np.isfinite(y)):
-        raise IntegrationError("integration produced a non-finite state")
-    return y, traj
+        y = rk4_step(f, y, t0 + (k * (t1 - t0)) / n_steps, h)
+    # column j of a stacked (k, n) state is query row j
+    bad = np.flatnonzero(~np.isfinite(np.atleast_2d(y)).all(axis=0))
+    if bad.size:
+        raise IntegrationError(f"integration went non-finite in {bad.size} row(s), "
+                               f"first rows {bad[:5].tolist()}")
+    return y
 
 
-def _flow(net: VelocityNet, ys, x, a, t0: float, t1: float, n_steps: int,
-          save: bool = False):
+def _flow(net: VelocityNet, ys, x, a, t0: float, t1: float, n_steps: int) -> np.ndarray:
     ys = np.asarray(ys, dtype=np.float64).reshape(-1)
-    return _integrate(evaluator(net, ys.shape[0], x, a), ys, t0, t1, n_steps, save)
+    return _integrate(evaluator(net, ys.shape[0], x, a), ys, t0, t1, n_steps)
 
 
 def _flow_logdet(net: VelocityNet, ys, x, a, t0: float, t1: float, n_steps: int):
-    """RK4 on the state joined with the running divergence integral.
+    """RK4 on the state stacked with the running divergence integral.
 
-    The accumulator is oriented so it always equals the divergence integral
-    over increasing time, whichever direction the state is traversed.
+    The field ignores the accumulator row. Its sign makes the accumulator
+    equal the divergence integral over increasing time, whichever direction
+    the state is traversed.
     """
     y = np.asarray(ys, dtype=np.float64).reshape(-1)
     vd = evaluator(net, y.shape[0], x, a, tangent=True)
     sign = 1.0 if t1 > t0 else -1.0
-    h = (t1 - t0) / n_steps
-    ell = np.zeros_like(y)
-    for k in range(n_steps):
-        t = _times(t0, t1, n_steps, k)
-        v1, d1 = vd(y, t)
-        v2, d2 = vd(y + 0.5 * h * v1, t + 0.5 * h)
-        v3, d3 = vd(y + 0.5 * h * v2, t + 0.5 * h)
-        v4, d4 = vd(y + h * v3, t + h)
-        y = y + (h / 6.0) * (v1 + 2.0 * v2 + 2.0 * v3 + v4)
-        ell = ell + sign * (h / 6.0) * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
-    if y.size and not (np.all(np.isfinite(y)) and np.all(np.isfinite(ell))):
-        raise IntegrationError("integration produced a non-finite state or log-density")
-    return y, ell
+
+    def f(s, t):
+        v, d = vd(s[0], t)
+        return np.stack([v, sign * d])
+
+    return _integrate(f, np.stack([y, np.zeros_like(y)]), t0, t1, n_steps)
 
 
 def encode_batch(net: VelocityNet, ys, x, a, ode_cfg: OdeConfig = OdeConfig()) -> np.ndarray:
     """Map outcomes to base-noise coordinates under conditioning (x, a)."""
-    return _flow(net, ys, x, a, 0.0, 1.0, ode_cfg.n_steps)[0]
+    return _flow(net, ys, x, a, 0.0, 1.0, ode_cfg.n_steps)
 
 
 def decode_batch(net: VelocityNet, zs, x, a, ode_cfg: OdeConfig = OdeConfig()) -> np.ndarray:
     """Map base-noise values back to outcomes under conditioning (x, a)."""
-    return _flow(net, zs, x, a, 1.0, 0.0, ode_cfg.n_steps)[0]
-
-
-def encode(net: VelocityNet, y_a: float, x, a: int, ode_cfg: OdeConfig = OdeConfig()) -> float:
-    return float(encode_batch(net, [y_a], x, a, ode_cfg)[0])
-
-
-def decode(net: VelocityNet, z: float, x, a: int, ode_cfg: OdeConfig = OdeConfig()) -> float:
-    return float(decode_batch(net, [z], x, a, ode_cfg)[0])
-
-
-def integrate(net: VelocityNet, ys, x, a, ode_cfg: OdeConfig = OdeConfig(),
-              direction: str = "encode") -> OdeResult:
-    """Full integration with optional saved trajectory."""
-    if direction not in ("encode", "decode"):
-        raise ContractError(f"unknown direction {direction!r}")
-    t0, t1 = (0.0, 1.0) if direction == "encode" else (1.0, 0.0)
-    y, traj = _flow(net, ys, x, a, t0, t1, ode_cfg.n_steps, ode_cfg.save_trajectory)
-    return OdeResult(y_end=y, trajectory=traj)
+    return _flow(net, zs, x, a, 1.0, 0.0, ode_cfg.n_steps)
 
 
 def divergence(net: VelocityNet, y: float, t: float, x, a: int) -> float:

@@ -8,6 +8,8 @@ carries its exact counterfactual alongside the factual outcome.
 from __future__ import annotations
 
 import csv
+import os
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -138,33 +140,36 @@ def generate_ihdp_like(cfg: DgpConfig) -> CausalDataset:
                          name=f"synthetic-n{cfg.n}-d{cfg.d_x}", seed=cfg.seed)
 
 
-def abduct_predict(f, x, a: int, y: float) -> float:
-    """Recover the additive noise under f at (x, a), then apply it to arm 1-a."""
-    eps = y - float(f(x, a))
-    return float(f(x, 1 - a)) + eps
-
-
-def oracle_counterfactual(cfg: DgpConfig, x, a: int, y: float) -> float:
-    """Exact counterfactual outcome for a row generated by cfg."""
-    if a not in (0, 1):
-        raise ContractError("treatment must be 0 or 1")
-    return abduct_predict(lambda xr, arm: structural_mean(cfg, xr, arm)[0], x, a, y)
-
-
-def _fmt(v: float) -> str:
+def fmt_float(v: float) -> str:
     return repr(float(v))
+
+
+@contextmanager
+def atomic_write(path):
+    """Text handle on a temp file next to path; os.replace moves it over path on success.
+
+    If the body raises, path keeps its previous bytes and the temp file is removed.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", newline="", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        with suppress(OSError):  # gone already after a successful replace
+            os.remove(tmp)
 
 
 def write_csv(ds: CausalDataset, path) -> None:
     """Write the dataset with full-precision decimals; exact on reload."""
     cols = [f"x{i}" for i in range(ds.d_x)] + ["a", "y"]
     extras = [name for name in ("mu0", "mu1", "ycf") if getattr(ds, name) is not None]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(cols + extras)
         for i in range(ds.n):
-            row = [_fmt(v) for v in ds.x[i]] + [str(int(ds.a[i])), _fmt(ds.y[i])]
-            row += [_fmt(getattr(ds, name)[i]) for name in extras]
+            row = [fmt_float(v) for v in ds.x[i]] + [str(int(ds.a[i])), fmt_float(ds.y[i])]
+            row += [fmt_float(getattr(ds, name)[i]) for name in extras]
             w.writerow(row)
 
 
@@ -172,10 +177,10 @@ def load_csv(path) -> CausalDataset:
     """Parse a dataset CSV.
 
     The header must contain x0..x{d-1}, a, y; mu0/mu1/ycf are optional.
-    Raises SchemaError for header problems and for nan/inf cells (naming
-    the 1-based data row and the column), and ValueError (naming the
-    1-based data row) for other bad cell values. A leading UTF-8
-    byte-order mark, as spreadsheet programs write it, is skipped.
+    Raises SchemaError for header problems, for a wrong field count, a
+    non-numeric cell or a treatment other than 0/1 (naming the 1-based data
+    row), and for nan/inf cells (naming the row and the column). A leading
+    UTF-8 byte-order mark, as spreadsheet programs write it, is skipped.
     """
     with open(path, "r", newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
@@ -203,7 +208,7 @@ def load_csv(path) -> CausalDataset:
     extras = {name: np.empty(n) for name in ("mu0", "mu1", "ycf") if name in idx}
     for r, row in enumerate(rows, start=1):
         if len(row) != len(header):
-            raise ValueError(f"{path}: row {r} has {len(row)} fields, expected {len(header)}")
+            raise SchemaError(f"{path}: row {r} has {len(row)} fields, expected {len(header)}")
         try:
             for j, col in enumerate(x_cols):
                 x[r - 1, j] = float(row[idx[col]])
@@ -212,9 +217,9 @@ def load_csv(path) -> CausalDataset:
                 arr[r - 1] = float(row[idx[name]])
             a_val = float(row[idx["a"]])
         except ValueError as exc:
-            raise ValueError(f"{path}: row {r}: {exc}") from None
+            raise SchemaError(f"{path}: row {r}: {exc}") from None
         if a_val not in (0.0, 1.0):
-            raise ValueError(f"{path}: row {r}: treatment must be 0 or 1, got {row[idx['a']]}")
+            raise SchemaError(f"{path}: row {r}: treatment must be 0 or 1, got {row[idx['a']]}")
         a[r - 1] = int(a_val)
     names = x_cols + ["y"] + list(extras)
     bad = np.argwhere(~np.isfinite(np.column_stack([x, y, *extras.values()])))
@@ -292,18 +297,6 @@ def standardize(ds: CausalDataset) -> tuple[CausalDataset, Scaler]:
         ycf=None if ds.ycf is None else scaler.transform_y(ds.ycf),
         name=ds.name, seed=ds.seed)
     return out, scaler
-
-
-def unstandardize(ds: CausalDataset, scaler: Scaler) -> CausalDataset:
-    """Inverse of standardize."""
-    x = ds.x * np.asarray(scaler.x_sd) + np.asarray(scaler.x_mean)
-    inv = scaler.inverse_y
-    return CausalDataset(
-        x, ds.a.copy(), inv(ds.y),
-        mu0=None if ds.mu0 is None else inv(ds.mu0),
-        mu1=None if ds.mu1 is None else inv(ds.mu1),
-        ycf=None if ds.ycf is None else inv(ds.ycf),
-        name=ds.name, seed=ds.seed)
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ import numpy as np
 from . import numkit as nk
 from .errors import ConfigError, ContractError, DimensionError
 from .numkit import sigmoid_kernel
-from .scm_data import Scaler
+from .scm_data import Scaler, atomic_write
 
 MODEL_FORMAT_VERSION = 1
 _T_TOL = 1e-9
@@ -30,6 +30,7 @@ _T_TOL = 1e-9
 # page-faulted its temporaries afresh depended on the allocator's history,
 # and one cate query took 1.6 s or 2.8 s from one process to the next.
 _ROW_BLOCK = 1024
+_RES_BLOCKS = 2
 
 
 @dataclass(frozen=True)
@@ -38,7 +39,6 @@ class NetConfig:
 
     d_x: int
     hidden_dim: int | None = None
-    n_res_blocks: int = 2
     time_encoding: str = "scalar-append"  # or "sinusoidal"
     time_frequencies: int = 4
     init_seed: int = 0
@@ -46,8 +46,6 @@ class NetConfig:
     def __post_init__(self):
         if self.d_x <= 0:
             raise ContractError("d_x must be positive")
-        if self.n_res_blocks != 2:
-            raise ContractError("n_res_blocks is fixed at 2")
         if self.time_encoding not in ("scalar-append", "sinusoidal"):
             raise ContractError(f"unknown time_encoding {self.time_encoding!r}")
         if self.time_encoding == "sinusoidal" and self.time_frequencies < 1:
@@ -69,12 +67,20 @@ class NetConfig:
 
     def to_dict(self) -> dict:
         return {"d_x": self.d_x, "hidden_dim": self.hidden_dim,
-                "n_res_blocks": self.n_res_blocks, "time_encoding": self.time_encoding,
+                "n_res_blocks": _RES_BLOCKS, "time_encoding": self.time_encoding,
                 "time_frequencies": self.time_frequencies, "init_seed": self.init_seed}
 
     @classmethod
     def from_dict(cls, d: dict) -> "NetConfig":
-        """Inverse of to_dict; ConfigError names an unknown, missing or mistyped key."""
+        """Inverse of to_dict; ConfigError names an unknown, missing or mistyped key.
+
+        n_res_blocks is not a field. Model files hold it at 2, and one
+        without the key loads too.
+        """
+        d = dict(d)
+        blocks = d.pop("n_res_blocks", _RES_BLOCKS)
+        if type(blocks) is not int or blocks != _RES_BLOCKS:
+            raise ConfigError(f"net_config 'n_res_blocks' must be {_RES_BLOCKS}, got {blocks!r}")
         unknown = sorted(set(d) - set(cls.__dataclass_fields__))
         if unknown:
             raise ConfigError(f"unknown net_config keys {unknown}")
@@ -99,7 +105,7 @@ def layer_shapes(cfg: NetConfig) -> list[tuple[str, tuple[int, int], bool]]:
         ("film_scale_w", (c, h), False), ("film_scale_b", (1, h), True),
         ("film_shift_w", (c, h), False), ("film_shift_b", (1, h), True),
     ]
-    for i in range(cfg.n_res_blocks):
+    for i in range(_RES_BLOCKS):
         for part in ("gate", "value"):
             shapes += [
                 (f"block{i}_{part}_w1c", (c, h), False),
@@ -238,7 +244,7 @@ def core_forward(ops, p, y_col, c, cfg: NetConfig):
     scale = ops.badd(ops.matmul(c, p["film_scale_w"]), p["film_scale_b"])
     shift = ops.badd(ops.matmul(c, p["film_shift_w"]), p["film_shift_b"])
     h = ops.add(ops.mul(scale, h), shift)
-    for i in range(cfg.n_res_blocks):
+    for i in range(_RES_BLOCKS):
         pre_g = ops.tanh(ops.badd(
             ops.add(ops.matmul(c, p[f"block{i}_gate_w1c"]),
                     ops.matmul(h, p[f"block{i}_gate_w1h"])),
@@ -325,10 +331,6 @@ def evaluator(net: VelocityNet, n: int, x, a, tangent: bool = False):
     return f
 
 
-def forward(net: VelocityNet, y: float, t: float, x, a: int) -> float:
-    return float(forward_batch(net, [y], t, np.atleast_2d(x), a)[0])
-
-
 @dataclass
 class FlowModel:
     """Trained bundle: velocity net, the scaler its data used, run metadata."""
@@ -354,7 +356,7 @@ def save_model(model: FlowModel, path) -> None:
         "scaler": model.scaler.to_dict(),
         "train_meta": model.train_meta,
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         json.dump(doc, fh, sort_keys=True, indent=1)
         fh.write("\n")
 

@@ -2,7 +2,17 @@
 
 import numpy as np
 
+from causalflow import ode_engine as oe
 from causalflow import velocity_net as vn
+
+
+def integrate_end_state(f, y0, t0, t1, n_steps):
+    """ode_engine's RK4 loop, its end state paired as (state, None).
+
+    The pair is the shape gate 02 unpacks; the loop itself returns the
+    state alone.
+    """
+    return oe._integrate(f, y0, t0, t1, n_steps), None
 
 
 def linear_net(d_x=2, slope=0.0, intercept=0.0):
@@ -30,7 +40,7 @@ def symmetrize_arms(net):
     """
     d_x = net.cfg.d_x
     consume_cond = ["film_scale_w", "film_shift_w"]
-    for i in range(net.cfg.n_res_blocks):
+    for i in range(2):
         for part in ("gate", "value"):
             consume_cond.append(f"block{i}_{part}_w1c")
     for name in consume_cond:

@@ -19,11 +19,11 @@ from causalflow import numkit as nk
 from causalflow import metrics as mt
 from causalflow.cfm_train import TrainConfig, cfm_loss, train
 from causalflow.ode_engine import (OdeConfig, divergence, decode_batch,
-                                   encode_batch, encode_with_logdensity_batch,
-                                   _integrate)
+                                   encode_batch, encode_with_logdensity_batch)
 from causalflow.scm_data import (default_config, generate_ihdp_like, split,
                                  standardize)
 from causalflow.velocity_net import FlowModel, NetConfig, forward_batch, init
+from helpers import integrate_end_state as _integrate
 
 ODE = OdeConfig(n_steps=64)
 

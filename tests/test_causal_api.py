@@ -17,6 +17,28 @@ def _model(net, scaler=None):
     return vn.FlowModel(net=net, scaler=scaler or Scaler.identity(net.cfg.d_x))
 
 
+_A_ENTRY_POINTS = {
+    "sample_po": lambda m, a: api.sample_po(m, [0.1, 0.2], a, n_samples=3),
+    "sample_po_batch": lambda m, a: api.sample_po_batch(m, np.zeros((2, 2)), a, 3),
+    "map_po": lambda m, a: api.map_po(m, [0.1, 0.2], a, n_samples=3),
+    "map_po_batch": lambda m, a: api.map_po_batch(m, np.zeros((2, 2)), a, 3),
+    "predict_counterfactual": lambda m, a: api.predict_counterfactual(m, 0.4, [0.1, 0.2], a),
+    "predict_counterfactual_batch":
+        lambda m, a: api.predict_counterfactual_batch(m, [0.4, 0.5], np.zeros((2, 2)), a),
+    "log_density": lambda m, a: api.log_density(m, 0.4, [0.1, 0.2], a),
+    "log_density_batch": lambda m, a: api.log_density_batch(m, [0.4, 0.5], np.zeros((2, 2)), a),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_A_ENTRY_POINTS))
+@pytest.mark.parametrize("a", [0.5, [0, 0.5]])
+def test_fractional_treatment_is_rejected(name, a):
+    m = _model(vn.init(vn.NetConfig(d_x=2, init_seed=1)))
+    with pytest.raises(ContractError):
+        _A_ENTRY_POINTS[name](m, a)
+    _A_ENTRY_POINTS[name](m, 0)  # the same call with a valid arm runs
+
+
 def test_sample_po_zero_field_returns_noise_draws():
     m = _model(linear_net(d_x=2))
     ps = api.sample_po(m, [0.0, 0.0], a=1, n_samples=50, seed=3)

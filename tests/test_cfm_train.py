@@ -39,7 +39,7 @@ def test_loss_single_row_matches_forward():
     y0, y1, t = np.array([0.4]), np.array([-1.1]), np.array([0.3])
     x, a = np.array([[0.2, -0.7]]), np.array([1])
     phi = ct.interpolant(y0, y1, t)
-    v = vn.forward(net, phi[0], t[0], x[0], 1)
+    v = vn.forward_batch(net, phi, t, x, a)[0]
     expect = (v - (y1[0] - y0[0])) ** 2
     loss, _ = ct.cfm_loss(net, y0, x, a, y1, t)
     assert abs(loss - expect) <= 1e-12

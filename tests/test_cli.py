@@ -293,6 +293,31 @@ def test_train_with_bad_optimizer_constant_exits_2(small_run, tmp_path, capsys, 
     assert line.split(" ")[0] in capsys.readouterr().err
 
 
+def test_train_on_bad_treatment_cell_exits_2(small_run, tmp_path, capsys):
+    _, _, tr, data, _ = small_run
+    lines = (tmp_path / "data.csv").read_text().splitlines()
+    a_col = lines[0].split(",").index("a")
+    row = lines[2].split(",")
+    row[a_col] = "0.5"
+    lines[2] = ",".join(row)
+    bad = _write(tmp_path / "half.csv", "\n".join(lines) + "\n")
+    capsys.readouterr()
+    rc = cli.main(["train", "--data", bad, "--out", str(tmp_path / "m2.json"),
+                   "--train-config", tr])
+    assert rc == 2
+    assert "row 2: treatment must be 0 or 1" in capsys.readouterr().err
+
+
+def test_write_json_failing_halfway_keeps_previous_file(tmp_path):
+    path = tmp_path / "report.json"
+    cli._write_json({"a": 1}, path)
+    before = path.read_bytes()
+    with pytest.raises(TypeError):
+        cli._write_json({"a": 2, "b": object()}, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+
 def test_eval_with_one_fold_exits_2(small_run, tmp_path, capsys):
     _, _, tr, data, _ = small_run
     capsys.readouterr()

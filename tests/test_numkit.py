@@ -102,9 +102,9 @@ def test_gradients_match_finite_differences():
                 assert abs(g[i, j] - fd) / denom < 1e-4, (name, i, j)
 
 
-def test_relu_sigmoid_mul_gradients_match_finite_differences():
+def test_tanh_sigmoid_mul_gradients_match_finite_differences():
     def build(p, c):
-        h = nk.relu(nk.badd(nk.matmul(c[0], p["w1"]), p["b1"]))
+        h = nk.tanh(nk.badd(nk.matmul(c[0], p["w1"]), p["b1"]))
         g = nk.sigmoid(nk.matmul(h, p["w2"]))
         return nk.mean(nk.mul(g, nk.matmul(h, p["w3"])))
 

@@ -23,7 +23,7 @@ def test_rk4_exponential_accuracy_and_order():
     f = lambda y, t: y
 
     def err(n_steps):
-        y, _ = oe._integrate(f, np.array([1.0]), 0.0, 1.0, n_steps)
+        y = oe._integrate(f, np.array([1.0]), 0.0, 1.0, n_steps)
         return abs(y[0] - np.e)
 
     assert err(32) < 1e-6
@@ -39,22 +39,22 @@ def test_rk4_step_rejects_zero_h():
 def test_zero_field_encode_decode_identity():
     net = _linear_net()
     x = np.zeros(2)
-    assert oe.encode(net, 0.7, x, 1) == 0.7
-    assert oe.decode(net, -1.3, x, 0) == -1.3
+    assert oe.encode_batch(net, [0.7], x, 1)[0] == 0.7
+    assert oe.decode_batch(net, [-1.3], x, 0)[0] == -1.3
 
 
 def test_constant_field_shifts_by_c():
     net = _linear_net(intercept=0.8)
     x = np.ones(2)
-    z = oe.encode(net, 0.5, x, 1)
-    np.testing.assert_allclose(z, 1.3, atol=1e-12)
-    np.testing.assert_allclose(oe.decode(net, z, x, 1), 0.5, atol=1e-12)
+    z = oe.encode_batch(net, [0.5], x, 1)
+    np.testing.assert_allclose(z, [1.3], atol=1e-12)
+    np.testing.assert_allclose(oe.decode_batch(net, z, x, 1), [0.5], atol=1e-12)
 
 
 def test_linear_field_matches_exponential_flow():
     net = _linear_net(slope=1.0)
-    z = oe.encode(net, 1.0, np.zeros(2), 0, oe.OdeConfig(n_steps=64))
-    np.testing.assert_allclose(z, np.e, atol=1e-7)
+    z = oe.encode_batch(net, [1.0], np.zeros(2), 0, oe.OdeConfig(n_steps=64))
+    np.testing.assert_allclose(z, [np.e], atol=1e-7)
 
 
 def test_round_trip_random_net():
@@ -138,32 +138,40 @@ def test_density_normalizes_on_random_net():
         assert 0.98 <= mass <= 1.02
 
 
-def test_trajectory_endpoints():
+@pytest.mark.parametrize("t0, t1", [(0.0, 1.0), (1.0, 0.0)])
+def test_integrate_is_repeated_rk4_steps_on_the_time_grid(t0, t1):
     net = vn.init(vn.NetConfig(d_x=2, init_seed=1))
-    cfg = oe.OdeConfig(n_steps=16, save_trajectory=True)
-    x = np.array([0.1, 0.2])
-    res = oe.integrate(net, [0.5], x, 1, cfg, direction="encode")
-    assert len(res.trajectory) == 17
-    t_first, y_first = res.trajectory[0]
-    t_last, y_last = res.trajectory[-1]
-    assert t_first == 0.0 and y_first[0] == 0.5
-    assert t_last == 1.0 and y_last[0] == res.y_end[0]
-    assert res.y_end[0] == oe.encode(net, 0.5, x, 1, oe.OdeConfig(n_steps=16))
+    x = np.array([[0.1, 0.2]])
+    f = vn.evaluator(net, 1, x, 1)
+    y, h = np.array([0.5]), (t1 - t0) / 16
+    for k in range(16):
+        y = oe.rk4_step(f, y, t0 + k * h, h)
+    assert oe._integrate(f, [0.5], t0, t1, 16).tobytes() == y.tobytes()
+    flow = oe.encode_batch if t0 == 0.0 else oe.decode_batch
+    assert flow(net, [0.5], x, 1, oe.OdeConfig(n_steps=16)).tobytes() == y.tobytes()
 
 
 def test_config_validation():
     with pytest.raises(ContractError):
         oe.OdeConfig(n_steps=0)
-    with pytest.raises(ContractError):
-        oe.integrate(vn.init(vn.NetConfig(d_x=2)), [0.0], np.zeros(2), 1,
-                     direction="sideways")
 
 
 @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
 def test_exploding_field_raises_integration_error():
     net = _linear_net(slope=3000.0)
     with pytest.raises(IntegrationError):
-        oe.encode(net, 1.0, np.zeros(2), 1)
+        oe.encode_batch(net, [1.0], np.zeros(2), 1)
+
+
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+@pytest.mark.parametrize("flow", [oe.encode_batch, oe.decode_batch,
+                                  oe.encode_with_logdensity_batch,
+                                  oe.decode_with_logdensity_batch])
+def test_integration_error_names_the_rows(flow):
+    net = _linear_net(slope=3000.0)
+    # v = 3000 y: row 1 stays exactly 0, rows 0 and 2 blow up
+    with pytest.raises(IntegrationError, match=r"in 2 row\(s\), first rows \[0, 2\]"):
+        flow(net, np.array([1.0, 0.0, 2.0]), np.zeros((3, 2)), 1)
 
 
 def test_batch_matches_scalar_calls():
@@ -173,7 +181,8 @@ def test_batch_matches_scalar_calls():
     x = rng.standard_normal((10, 2))
     a = rng.integers(0, 2, 10)
     batch = oe.encode_batch(net, ys, x, a)
-    singles = np.array([oe.encode(net, ys[i], x[i], int(a[i])) for i in range(10)])
+    singles = np.array([oe.encode_batch(net, ys[i:i + 1], x[i:i + 1], a[i:i + 1])[0]
+                        for i in range(10)])
     np.testing.assert_allclose(batch, singles, atol=1e-12)
 
 
@@ -192,9 +201,6 @@ def test_logdensity_paths_match_plain_integration_on_single_rows():
 _ENTRY_POINTS = [
     lambda net, ys, x, a: oe.encode_batch(net, ys, x, a),
     lambda net, ys, x, a: oe.decode_batch(net, ys, x, a),
-    lambda net, ys, x, a: oe.encode(net, ys[0], x, a),
-    lambda net, ys, x, a: oe.decode(net, ys[0], x, a),
-    lambda net, ys, x, a: oe.integrate(net, ys, x, a),
     lambda net, ys, x, a: oe.encode_with_logdensity_batch(net, ys, x, a),
     lambda net, ys, x, a: oe.decode_with_logdensity_batch(net, ys, x, a),
     lambda net, ys, x, a: oe.divergence(net, ys[0], 0.5, x, a),

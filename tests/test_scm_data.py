@@ -71,20 +71,7 @@ def test_config_validation():
                      propensity="logistic")
 
 
-def test_abduction_on_identity_arm_function():
-    f = lambda x, a: float(a)
-    assert sd.abduct_predict(f, np.zeros(2), 1, 1.3) == pytest.approx(0.3, abs=1e-12)
-    assert sd.abduct_predict(f, np.zeros(2), 0, -0.2) == pytest.approx(0.8, abs=1e-12)
-
-
-def test_abduction_is_an_involution():
-    f = lambda x, a: 2.0 * float(a) + 0.5
-    y = 1.7
-    once = sd.abduct_predict(f, np.zeros(1), 1, y)
-    assert sd.abduct_predict(f, np.zeros(1), 0, once) == pytest.approx(y, abs=1e-12)
-
-
-def test_oracle_counterfactual_matches_hand_formula():
+def test_truth_columns_match_hand_formula():
     cfg = _cfg(n=40, seed=5)
     ds = sd.generate_ihdp_like(cfg)
     beta = np.asarray(cfg.beta)
@@ -92,11 +79,14 @@ def test_oracle_counterfactual_matches_hand_formula():
         x, a, y = ds.x[i], int(ds.a[i]), float(ds.y[i])
         f1 = x @ beta - cfg.omega
         f0 = np.exp((x + np.asarray(cfg.w_shift)) @ beta)
+        assert ds.mu1[i] == pytest.approx(f1, abs=1e-12)
+        assert ds.mu0[i] == pytest.approx(f0, abs=1e-12)
+        # abduction: the factual arm's noise, replayed under the other arm
         eps = y - (f1 if a == 1 else f0)
-        expect = (f0 if a == 1 else f1) + eps
-        got = sd.oracle_counterfactual(cfg, x, a, y)
-        assert got == pytest.approx(expect, abs=1e-12)
-        assert got == pytest.approx(float(ds.ycf[i]), abs=1e-12)
+        assert ds.ycf[i] == pytest.approx((f0 if a == 1 else f1) + eps, abs=1e-12)
+        # and back again
+        back = (f1 if a == 1 else f0) + (ds.ycf[i] - (f0 if a == 1 else f1))
+        assert back == pytest.approx(y, abs=1e-12)
 
 
 def test_csv_round_trip_exact(tmp_path):
@@ -141,15 +131,56 @@ def test_csv_bad_treatment_names_row(tmp_path):
     path = tmp_path / "bad.csv"
     lines = ["x0,a,y"] + ["0.1,1,0.2"] * 4 + ["0.1,2,0.2", "0.1,0,0.2"]
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError, match="row 5"):
+    with pytest.raises(SchemaError, match="row 5: treatment must be 0 or 1, got 2"):
         sd.load_csv(path)
 
 
 def test_csv_non_numeric_cell_names_row(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("x0,a,y\n0.1,1,0.2\nzap,0,0.3\n")
-    with pytest.raises(ValueError, match="row 2"):
+    with pytest.raises(SchemaError, match="row 2: could not convert"):
         sd.load_csv(path)
+
+
+def test_csv_wrong_field_count_names_row(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("x0,a,y\n0.1,1,0.2\n0.1,0\n")
+    with pytest.raises(SchemaError, match="row 2 has 2 fields, expected 3"):
+        sd.load_csv(path)
+
+
+def test_atomic_write_keeps_old_file_when_the_body_raises(tmp_path):
+    path = tmp_path / "out.txt"
+    path.write_text("old\n")
+    with pytest.raises(RuntimeError):
+        with sd.atomic_write(path) as fh:
+            fh.write("half of the new")
+            raise RuntimeError("stop")
+    assert path.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+    with sd.atomic_write(path) as fh:
+        fh.write("new\n")
+    assert path.read_text() == "new\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+
+def test_write_csv_failing_halfway_keeps_previous_file(tmp_path, monkeypatch):
+    path = tmp_path / "data.csv"
+    sd.write_csv(sd.generate_ihdp_like(_cfg(n=30, seed=2)), path)
+    before = path.read_bytes()
+    calls = []
+
+    def fmt_then_fail(v):
+        calls.append(v)
+        if len(calls) > 40:
+            raise RuntimeError("disk full")
+        return repr(float(v))
+
+    monkeypatch.setattr(sd, "fmt_float", fmt_then_fail)
+    with pytest.raises(RuntimeError, match="disk full"):
+        sd.write_csv(sd.generate_ihdp_like(_cfg(n=30, seed=3)), path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["data.csv"]
 
 
 def test_split_sizes_and_partition():
@@ -190,10 +221,10 @@ def test_standardize_leaves_constant_column():
 def test_standardize_round_trip():
     ds = sd.generate_ihdp_like(_cfg(n=100, seed=8))
     out, scaler = sd.standardize(ds)
-    back = sd.unstandardize(out, scaler)
-    np.testing.assert_allclose(back.x, ds.x, atol=1e-10)
-    np.testing.assert_allclose(back.y, ds.y, atol=1e-10)
-    np.testing.assert_allclose(back.ycf, ds.ycf, atol=1e-10)
+    x_back = out.x * np.asarray(scaler.x_sd) + np.asarray(scaler.x_mean)
+    np.testing.assert_allclose(x_back, ds.x, atol=1e-10)
+    np.testing.assert_allclose(scaler.inverse_y(out.y), ds.y, atol=1e-10)
+    np.testing.assert_allclose(scaler.inverse_y(out.ycf), ds.ycf, atol=1e-10)
 
 
 def test_standardize_keeps_generator_identity():

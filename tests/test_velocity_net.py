@@ -76,7 +76,7 @@ def test_batched_matches_single_rows():
     net = _net(init_seed=2)
     ys, ts, x, a = _rand_inputs(net, 100, seed=4)
     batched = vn.forward_batch(net, ys, ts, x, a)
-    singles = np.array([vn.forward(net, ys[i], ts[i], x[i], int(a[i]))
+    singles = np.array([vn.forward_batch(net, ys[i:i + 1], ts[i:i + 1], x[i:i + 1], a[i:i + 1])[0]
                         for i in range(100)])
     np.testing.assert_allclose(batched, singles, atol=1e-12)
 
@@ -98,13 +98,13 @@ def test_empty_batch():
 def test_domain_and_dimension_errors():
     net = _net()
     with pytest.raises(ContractError, match="t outside"):
-        vn.forward(net, 0.0, 1.5, np.zeros(3), 1)
+        vn.forward_batch(net, [0.0], 1.5, np.zeros((1, 3)), 1)
     with pytest.raises(ContractError, match="t outside"):
-        vn.forward(net, 0.0, -0.2, np.zeros(3), 0)
+        vn.forward_batch(net, [0.0], -0.2, np.zeros((1, 3)), 0)
     with pytest.raises(DimensionError):
-        vn.forward(net, 0.0, 0.5, np.zeros(4), 1)
+        vn.forward_batch(net, [0.0], 0.5, np.zeros((1, 4)), 1)
     with pytest.raises(ContractError):
-        vn.forward(net, 0.0, 0.5, np.zeros(3), 2)
+        vn.forward_batch(net, [0.0], 0.5, np.zeros((1, 3)), 2)
 
 
 def test_time_encoding_dimensions():
@@ -119,9 +119,21 @@ def test_time_encoding_dimensions():
     assert vn.forward_batch(net, ys, ts, x, a).shape == (10,)
 
 
-def test_res_blocks_fixed_at_two():
-    with pytest.raises(ContractError):
-        vn.NetConfig(d_x=3, n_res_blocks=3)
+def test_model_file_res_blocks_fixed_at_two(tmp_path):
+    import json
+
+    path = tmp_path / "model.json"
+    vn.save_model(vn.FlowModel(_net(), Scaler.identity(3), {}), path)
+    doc = json.loads(path.read_text())
+    assert doc["net_config"]["n_res_blocks"] == 2
+    for bad in (3, 2.0, True, "2"):
+        doc["net_config"]["n_res_blocks"] = bad
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match="n_res_blocks"):
+            vn.load_model(path)
+    del doc["net_config"]["n_res_blocks"]
+    path.write_text(json.dumps(doc))
+    assert vn.load_model(path).cfg == _net().cfg
 
 
 def test_model_file_round_trip(tmp_path):
@@ -136,6 +148,18 @@ def test_model_file_round_trip(tmp_path):
         np.testing.assert_array_equal(back.net.params[name], t)
     assert back.scaler == scaler
     assert back.train_meta == {"seed": 7, "iters": 12}
+
+
+def test_save_model_failing_halfway_keeps_previous_file(tmp_path):
+    path = tmp_path / "model.json"
+    vn.save_model(vn.FlowModel(_net(), Scaler.identity(3), {"seed": 0}), path)
+    before = path.read_bytes()
+    # json.dump writes the params before it reaches the unserializable meta
+    with pytest.raises(TypeError):
+        vn.save_model(vn.FlowModel(_net(init_seed=1), Scaler.identity(3),
+                                   {"z": object()}), path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
 
 
 def test_model_file_save_is_deterministic(tmp_path):
