@@ -16,7 +16,7 @@ import numpy as np
 from . import numkit as nk
 from .errors import ContractError, FitError, TrainingError
 from .scm_data import CausalDataset, PropensityModel, fit_propensity
-from .velocity_net import NetConfig, TapeOps, VelocityNet, cond_features, core_forward, init
+from .velocity_net import NetConfig, VelocityNet, cond_features, core_forward, init
 
 
 @dataclass(frozen=True)
@@ -110,14 +110,12 @@ def cfm_loss(net: VelocityNet, y0, x, a, y1, ts, weights=None) -> tuple[float, n
     # weight mask restores a per-row mean of w_i * residual_i^2
     weight_m = np.repeat(2.0 * weights.reshape(-1, 1), 2, axis=1)
 
-    def build(p, consts):
-        c_ref, phi_ref, mask_ref, neg_t_ref, w_ref = consts
-        ops = TapeOps(c_ref.tape)
-        out = core_forward(ops, p, phi_ref, c_ref, net.cfg)
-        resid = nk.add(nk.mul(out, mask_ref), neg_t_ref)
-        return nk.mean(nk.mul(nk.square(resid), w_ref))
+    def build(tape, p):
+        out = core_forward(tape, p, phi, c, net.cfg)
+        resid = tape.add(tape.mul(out, mask), neg_target_m)
+        return tape.mean(tape.mul(tape.square(resid), weight_m))
 
-    return nk.tape_forward(build, net.params, [c, phi, mask, neg_target_m, weight_m])
+    return nk.tape_forward(build, net.params)
 
 
 @dataclass

@@ -57,8 +57,8 @@ def wasserstein1(u, v) -> float:
 
 def kl_vs_gaussian_truth(model: FlowModel, x, a, mu, sd: float = 1.0,
                          n_mc: int = 256, ode_cfg: oe.OdeConfig | None = None,
-                         seed: int = 0, return_se: bool = False):
-    """Monte Carlo KL(model || N(mu_i, sd^2)), averaged over rows.
+                         seed: int = 0) -> tuple[float, float]:
+    """Monte Carlo KL(model || N(mu_i, sd^2)), averaged over rows, and its standard error.
 
     Samples y from the model per row and evaluates the log-ratio at the
     draws, so the estimate is unbiased for each row's KL term.
@@ -78,8 +78,6 @@ def kl_vs_gaussian_truth(model: FlowModel, x, a, mu, sd: float = 1.0,
         - 0.5 * ((y - mu[:, None]) / sd) ** 2
     diff = logp - log_truth
     est = float(np.mean(np.mean(diff, axis=1)))
-    if not return_se:
-        return est
     se = float(np.sqrt(np.sum(np.var(diff, axis=1, ddof=1) / n_mc)) / mu.shape[0])
     return est, se
 
@@ -214,8 +212,7 @@ def _eval_split(model: FlowModel, ds: CausalDataset, ode_cfg, seed: int,
         mu_fact = np.where(a[:m] == 1, sub.mu1[:m], sub.mu0[:m])
         kl, kl_se = kl_vs_gaussian_truth(model, x[:m], a[:m], mu_fact,
                                          sd=noise_sd, n_mc=kl_mc,
-                                         ode_cfg=ode_cfg, seed=seed,
-                                         return_se=True)
+                                         ode_cfg=ode_cfg, seed=seed)
         out["kl"] = kl
         out["kl_se"] = kl_se
 

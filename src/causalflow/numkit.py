@@ -1,33 +1,19 @@
-"""Dense float64 matrices plus a tape for reverse-mode differentiation.
+"""Reverse-mode differentiation as an ops backend for core_forward.
 
-Matrices are plain 2-D numpy arrays. A Tape records every primitive
-application in forward order; tape_backward replays it in reverse and
-accumulates gradients for the leaves that were registered as parameters.
-The primitive set is closed: matmul, add, badd (row-broadcast add), mul,
-tanh, sigmoid, mean, square.
+Tape is the reverse-mode twin of the numpy backend: its primitives matmul,
+add, badd (row-broadcast add), mul, tanh, sigmoid and halve, plus mean and
+square for a loss, compute their values with the numpy backend's
+expressions. A Var is a value that carries a gradient; a bare ndarray is a
+constant. For each Var operand, a primitive records a pullback that maps
+the gradient of its output to that operand's share. tape_backward runs the
+pullbacks in reverse order and sums the shares for every parameter.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from .errors import ContractError, DimensionError
-
-Matrix = np.ndarray
-
-
-def as_matrix(value, name: str = "value") -> Matrix:
-    """Coerce to a 2-D float64 array; scalars become 1x1."""
-    m = np.asarray(value, dtype=np.float64)
-    if m.ndim == 0:
-        m = m.reshape(1, 1)
-    elif m.ndim == 1:
-        m = m.reshape(1, -1)
-    elif m.ndim != 2:
-        raise DimensionError(f"{name}: expected at most 2 dimensions, got {m.ndim}")
-    return m
+from .errors import ContractError
 
 
 def sigmoid_kernel(x: np.ndarray) -> np.ndarray:
@@ -41,178 +27,126 @@ def sigmoid_kernel(x: np.ndarray) -> np.ndarray:
     return np.maximum(e, x >= 0) / (1.0 + e)
 
 
-@dataclass
-class _Node:
-    op: str
-    parents: tuple[int, ...]
-    value: Matrix
-    param: str | None = None
+class Var:
+    """A value on a tape; idx is the tape node that holds its pullbacks."""
 
+    __slots__ = ("value", "idx")
 
-class Ref:
-    """Handle to one node on a tape."""
-
-    __slots__ = ("tape", "idx")
-
-    def __init__(self, tape: "Tape", idx: int):
-        self.tape = tape
+    def __init__(self, value: np.ndarray, idx: int):
+        self.value = value
         self.idx = idx
 
-    @property
-    def value(self) -> Matrix:
-        return self.tape.nodes[self.idx].value
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.value.shape
+def _value(u) -> np.ndarray:
+    return u.value if type(u) is Var else u
 
 
-@dataclass
+def _identity(g):
+    return g
+
+
+def _col_sum(g):
+    return g.sum(axis=0, keepdims=True)
+
+
 class Tape:
-    """Forward-ordered record of primitive applications."""
+    """Forward-ordered nodes, one per Var: its (parent node, pullback) pairs.
 
-    nodes: list[_Node] = field(default_factory=list)
-    root: int | None = None
+    A leaf, such as a parameter, has no pairs.
+    """
 
-    def _push(self, op: str, parents: tuple[int, ...], value: Matrix,
-              param: str | None = None) -> Ref:
-        self.nodes.append(_Node(op, parents, value, param))
-        return Ref(self, len(self.nodes) - 1)
+    def __init__(self):
+        self.nodes: list[tuple] = []
+        self.params: dict[str, Var] = {}
+        self.root: int | None = None
 
-    def param(self, name: str, value) -> Ref:
+    def _push(self, value: np.ndarray, node: tuple) -> Var:
+        self.nodes.append(node)
+        return Var(value, len(self.nodes) - 1)
+
+    def _record(self, value: np.ndarray, *edges):
+        """value as a Var with the pullbacks of its Var operands.
+
+        edges are (operand, pullback) pairs. When no operand is a Var,
+        value is a constant and comes back as a bare array, with no node.
+        """
+        node = tuple((u.idx, pull) for u, pull in edges if type(u) is Var)
+        return self._push(value, node) if node else value
+
+    def param(self, name: str, value: np.ndarray) -> Var:
         """Register a parameter leaf; tape_backward reports its gradient."""
-        if any(n.param == name for n in self.nodes):
+        if name in self.params:
             raise ContractError(f"parameter {name!r} registered twice")
-        return self._push("leaf", (), as_matrix(value, name), param=name)
+        self.params[name] = var = self._push(value, ())
+        return var
 
-    def const(self, value) -> Ref:
-        """Register a data leaf; it receives no gradient entry."""
-        return self._push("leaf", (), as_matrix(value))
+    def matmul(self, a, b):
+        av, bv = _value(a), _value(b)
+        return self._record(av @ bv, (a, lambda g: g @ bv.T), (b, lambda g: av.T @ g))
 
+    def add(self, a, b):
+        return self._record(_value(a) + _value(b), (a, _identity), (b, _identity))
 
-def _same_tape(*refs: Ref) -> Tape:
-    tape = refs[0].tape
-    if any(r.tape is not tape for r in refs):
-        raise ContractError("operands live on different tapes")
-    return tape
+    def badd(self, m, bias):
+        """Add a 1-row bias to every row of m."""
+        return self._record(_value(m) + _value(bias), (m, _identity), (bias, _col_sum))
 
+    def mul(self, a, b):
+        av, bv = _value(a), _value(b)
+        return self._record(av * bv, (a, lambda g: g * bv), (b, lambda g: g * av))
 
-def matmul(a: Ref, b: Ref) -> Ref:
-    tape = _same_tape(a, b)
-    if a.shape[1] != b.shape[0]:
-        raise DimensionError(f"matmul: inner dims differ, {a.shape} vs {b.shape}")
-    return tape._push("matmul", (a.idx, b.idx), a.value @ b.value)
+    def tanh(self, u):
+        t = np.tanh(_value(u))
+        return self._record(t, (u, lambda g: g * (1.0 - t * t)))
 
+    def sigmoid(self, u):
+        s = sigmoid_kernel(_value(u))
+        return self._record(s, (u, lambda g: g * s * (1.0 - s)))
 
-def add(a: Ref, b: Ref) -> Ref:
-    tape = _same_tape(a, b)
-    if a.shape != b.shape:
-        raise DimensionError(f"add: shapes differ, {a.shape} vs {b.shape}")
-    return tape._push("add", (a.idx, b.idx), a.value + b.value)
+    def halve(self, u):
+        return self._record(_value(u) * 0.5, (u, lambda g: g * 0.5))
 
+    def mean(self, u):
+        v = _value(u)
+        if v.size == 0:
+            raise ContractError("mean: empty matrix")
+        return self._record(np.array([[v.mean()]]),
+                            (u, lambda g: np.full(v.shape, g[0, 0] / v.size)))
 
-def badd(m: Ref, bias: Ref) -> Ref:
-    """Add a 1-row bias to every row of m."""
-    tape = _same_tape(m, bias)
-    if bias.shape[0] != 1 or bias.shape[1] != m.shape[1]:
-        raise DimensionError(f"badd: bias {bias.shape} does not broadcast over {m.shape}")
-    return tape._push("badd", (m.idx, bias.idx), m.value + bias.value)
-
-
-def mul(a: Ref, b: Ref) -> Ref:
-    tape = _same_tape(a, b)
-    if a.shape != b.shape:
-        raise DimensionError(f"mul: shapes differ, {a.shape} vs {b.shape}")
-    return tape._push("mul", (a.idx, b.idx), a.value * b.value)
+    def square(self, u):
+        v = _value(u)
+        return self._record(v * v, (u, lambda g: g * 2.0 * v))
 
 
-def tanh(a: Ref) -> Ref:
-    return a.tape._push("tanh", (a.idx,), np.tanh(a.value))
+def tape_forward(build, params: dict[str, np.ndarray]) -> tuple[float, Tape]:
+    """Run build(tape, vars) on a fresh tape; vars maps each name in params to a Var.
 
-
-def sigmoid(a: Ref) -> Ref:
-    return a.tape._push("sigmoid", (a.idx,), sigmoid_kernel(a.value))
-
-
-def mean(a: Ref) -> Ref:
-    if a.value.size == 0:
-        raise ContractError("mean: empty matrix")
-    return a.tape._push("mean", (a.idx,), np.array([[a.value.mean()]]))
-
-
-def square(a: Ref) -> Ref:
-    return a.tape._push("square", (a.idx,), a.value * a.value)
-
-
-def tape_forward(build, params: dict[str, Matrix], consts=()) -> tuple[float, Tape]:
-    """Run build(params_refs, const_refs) on a fresh tape.
-
-    build must return a scalar Ref (shape 1x1); its float value and the
-    populated tape come back for a later tape_backward.
+    build must return a 1x1 loss; its float value and the populated tape
+    come back for a later tape_backward.
     """
     tape = Tape()
-    p = {name: tape.param(name, value) for name, value in params.items()}
-    c = [tape.const(v) for v in consts]
-    out = build(p, c)
-    if out.tape is not tape:
-        raise ContractError("build returned a ref from a different tape")
-    if out.shape != (1, 1):
-        raise ContractError(f"root must be scalar, got shape {out.shape}")
+    out = build(tape, {name: tape.param(name, value) for name, value in params.items()})
+    if type(out) is not Var:  # no parameter reaches the loss: every gradient is zero
+        out = tape._push(out, ())
+    if out.value.shape != (1, 1):
+        raise ContractError(f"root must be scalar, got shape {out.value.shape}")
     tape.root = out.idx
     return float(out.value[0, 0]), tape
 
 
-def tape_backward(tape: Tape) -> dict[str, Matrix]:
+def tape_backward(tape: Tape) -> dict[str, np.ndarray]:
     """Gradients of the scalar root with respect to every parameter leaf."""
     if tape.root is None:
         raise ContractError("tape has no recorded scalar root")
-    root = tape.nodes[tape.root]
-    if root.value.shape != (1, 1):
-        raise ContractError(f"root must be scalar, got shape {root.value.shape}")
-
-    grads: list[Matrix | None] = [None] * len(tape.nodes)
+    grads: list[np.ndarray | None] = [None] * len(tape.nodes)
     grads[tape.root] = np.ones((1, 1))
-
-    def _acc(idx: int, g: Matrix) -> None:
-        if grads[idx] is None:
-            grads[idx] = g.copy()
-        else:
-            grads[idx] += g
-
     for idx in range(len(tape.nodes) - 1, -1, -1):
         g = grads[idx]
         if g is None:
             continue
-        node = tape.nodes[idx]
-        op, parents = node.op, node.parents
-        if op == "leaf":
-            continue
-        pvals = [tape.nodes[p].value for p in parents]
-        if op == "matmul":
-            _acc(parents[0], g @ pvals[1].T)
-            _acc(parents[1], pvals[0].T @ g)
-        elif op == "add":
-            _acc(parents[0], g)
-            _acc(parents[1], g)
-        elif op == "badd":
-            _acc(parents[0], g)
-            _acc(parents[1], g.sum(axis=0, keepdims=True))
-        elif op == "mul":
-            _acc(parents[0], g * pvals[1])
-            _acc(parents[1], g * pvals[0])
-        elif op == "tanh":
-            _acc(parents[0], g * (1.0 - node.value * node.value))
-        elif op == "sigmoid":
-            _acc(parents[0], g * node.value * (1.0 - node.value))
-        elif op == "mean":
-            _acc(parents[0], np.full(pvals[0].shape, g[0, 0] / pvals[0].size))
-        elif op == "square":
-            _acc(parents[0], g * 2.0 * pvals[0])
-        else:  # pragma: no cover
-            raise ContractError(f"unknown primitive {op!r}")
-
-    out = {}
-    for i, node in enumerate(tape.nodes):
-        if node.param is not None:
-            out[node.param] = grads[i] if grads[i] is not None else np.zeros_like(node.value)
-    return out
+        for parent, pull in tape.nodes[idx]:
+            share = pull(g)
+            # never +=: an identity pullback hands g itself to each parent
+            grads[parent] = share if grads[parent] is None else grads[parent] + share
+    return {name: grads[v.idx] if grads[v.idx] is not None else np.zeros_like(v.value)
+            for name, v in tape.params.items()}

@@ -3,10 +3,11 @@
 The net maps (y, t, x, a) to a scalar velocity. The outcome is embedded,
 modulated by feature-wise scale/shift computed from the conditioning vector
 c = concat(x, a, enc(t)), passed through two gated residual blocks, and
-projected to one head per treatment arm. The same layer recipe runs on three
-backends: plain numpy for inference, numpy with forward-mode tangents for
-the exact dv/dy of log-densities, and the numkit tape for training. All
-three produce identical velocities.
+projected to one head per treatment arm. core_forward is the one definition
+of that recipe, and it runs on three ops backends: plain numpy for
+inference, numpy with forward-mode tangents (DualOps) for the exact dv/dy
+of log-densities, and the reverse-mode numkit.Tape for training. All three
+produce identical velocities.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import numkit as nk
 from .errors import ConfigError, ContractError, DimensionError
 from .numkit import sigmoid_kernel
 from .scm_data import Scaler, atomic_write
@@ -175,23 +175,6 @@ class _NumpyOps:
         return v * 0.5
 
 
-class TapeOps:
-    """numkit-backed twin of the numpy ops; used by the training loss."""
-
-    matmul = staticmethod(nk.matmul)
-    add = staticmethod(nk.add)
-    badd = staticmethod(nk.badd)
-    mul = staticmethod(nk.mul)
-    tanh = staticmethod(nk.tanh)
-    sigmoid = staticmethod(nk.sigmoid)
-
-    def __init__(self, tape: nk.Tape):
-        self.tape = tape
-
-    def halve(self, v):
-        return nk.mul(v, self.tape.const(np.full(v.shape, 0.5)))
-
-
 def _bilinear(op):
     def f(a, b):
         if type(a) is not tuple:
@@ -261,6 +244,15 @@ def core_forward(ops, p, y_col, c, cfg: NetConfig):
     return ops.badd(ops.matmul(h, p["proj_w"]), p["proj_b"])
 
 
+def _per_row(v, n: int, name: str) -> np.ndarray:
+    """v broadcast to one entry per row; DimensionError names v when it cannot be."""
+    v = np.asarray(v)
+    try:
+        return np.broadcast_to(v, (n,))
+    except ValueError:
+        raise DimensionError(f"forward: {name} has shape {v.shape}, expected ({n},)") from None
+
+
 def _check_cond(net: VelocityNet, n: int, x, a) -> tuple[np.ndarray, np.ndarray]:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 1:
@@ -268,7 +260,7 @@ def _check_cond(net: VelocityNet, n: int, x, a) -> tuple[np.ndarray, np.ndarray]
     if x.shape != (n, net.cfg.d_x):
         raise DimensionError(
             f"forward: x has shape {x.shape}, expected ({n}, {net.cfg.d_x})")
-    a = np.broadcast_to(np.asarray(a), (n,))
+    a = _per_row(a, n, "a")
     if n and not ((a == 0) | (a == 1)).all():
         raise ContractError("treatment must be 0 or 1")
     return x, a
@@ -304,7 +296,7 @@ def forward_batch(net: VelocityNet, ys, ts, x, a, tangent: bool = False):
     ys = np.asarray(ys, dtype=np.float64).reshape(-1)
     n = ys.shape[0]
     x, a = _check_cond(net, n, x, a)
-    ts = np.broadcast_to(np.asarray(ts, dtype=np.float64), (n,))
+    ts = _per_row(np.asarray(ts, dtype=np.float64), n, "t")
     if n and (ts.min() < -_T_TOL or ts.max() > 1.0 + _T_TOL):
         raise ContractError(f"t outside [0, 1]: range [{ts.min()}, {ts.max()}]")
     c = cond_features(x, a, np.clip(ts, 0.0, 1.0), net.cfg)

@@ -142,8 +142,7 @@ def test_gate_06_kl_against_known_outcome_law(bench):
     m = 64
     mu = np.where(te.a[:m] == 1, te.mu1[:m], te.mu0[:m])
     kl, se = mt.kl_vs_gaussian_truth(bench.model, te.x[:m], te.a[:m], mu,
-                                     sd=1.0, n_mc=256, ode_cfg=ODE, seed=0,
-                                     return_se=True)
+                                     sd=1.0, n_mc=256, ode_cfg=ODE, seed=0)
     _verdict(6, kl <= 0.25 and kl >= -3.0 * se,
              f"kl {kl:.4f} (<= 0.25), se {se:.4f}, floor {-3 * se:.4f}")
 

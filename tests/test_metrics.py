@@ -71,8 +71,7 @@ def test_kl_exact_match_is_zero():
     m = _model(2, y_mean=1.5, y_sd=1.0)
     x = np.zeros((8, 2))
     mu = np.full(8, 1.5)
-    est, se = mt.kl_vs_gaussian_truth(m, x, 1, mu, n_mc=64, seed=0,
-                                      return_se=True)
+    est, se = mt.kl_vs_gaussian_truth(m, x, 1, mu, n_mc=64, seed=0)
     assert abs(est) <= 1e-12
     assert se <= 1e-12
 
@@ -82,7 +81,7 @@ def test_kl_unit_mean_shift_is_half():
     m = _model(2, y_mean=0.0, y_sd=1.0)
     x = np.zeros((16, 2))
     est, se = mt.kl_vs_gaussian_truth(m, x, 0, np.full(16, 1.0), n_mc=256,
-                                      seed=3, return_se=True)
+                                      seed=3)
     assert se < 0.05
     assert abs(est - 0.5) <= 4.0 * se
 
@@ -93,7 +92,7 @@ def test_kl_variance_mismatch():
     x = np.zeros((16, 2))
     want = 0.5 * (4.0 - 1.0 - math.log(4.0))
     est, se = mt.kl_vs_gaussian_truth(m, x, 1, np.zeros(16), n_mc=256,
-                                      seed=5, return_se=True)
+                                      seed=5)
     assert abs(est - want) <= 4.0 * se
 
 

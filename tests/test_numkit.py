@@ -5,15 +5,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from causalflow import numkit as nk
-from causalflow.errors import ContractError, DimensionError
+from causalflow.errors import ContractError
 
 
-def _mlp_loss(p, c):
-    # two-layer tanh regression head; c = [x, neg_target]
-    x, neg_t = c
-    h = nk.tanh(nk.badd(nk.matmul(x, p["w1"]), p["b1"]))
-    out = nk.badd(nk.matmul(h, p["w2"]), p["b2"])
-    return nk.mean(nk.square(nk.add(out, neg_t)))
+def _mlp_loss(x, neg_t):
+    # two-layer tanh regression head on data x with targets -neg_t
+    def build(tape, p):
+        h = tape.tanh(tape.badd(tape.matmul(x, p["w1"]), p["b1"]))
+        out = tape.badd(tape.matmul(h, p["w2"]), p["b2"])
+        return tape.mean(tape.square(tape.add(out, neg_t)))
+
+    return build
 
 
 def _mlp_params(rng, d_in=3, d_h=4):
@@ -25,28 +27,37 @@ def _mlp_params(rng, d_in=3, d_h=4):
     }
 
 
-def _fd_grad(build, params, consts, name, i, j, h=1e-5):
+def _fd_grad(build, params, name, i, j, h=1e-5):
     def ev(delta):
         p2 = {k: v.copy() for k, v in params.items()}
-        p2[name] = p2[name].copy()
         p2[name][i, j] += delta
-        val, _ = nk.tape_forward(build, p2, consts)
+        val, _ = nk.tape_forward(build, p2)
         return val
 
     return (ev(h) - ev(-h)) / (2.0 * h)
 
 
+def _assert_matches_fd(build, params):
+    _, tape = nk.tape_forward(build, params)
+    grads = nk.tape_backward(tape)
+    assert grads.keys() == params.keys()
+    for name, g in grads.items():
+        for i in range(g.shape[0]):
+            for j in range(g.shape[1]):
+                fd = _fd_grad(build, params, name, i, j)
+                denom = max(abs(fd), 1e-8)
+                assert abs(g[i, j] - fd) / denom < 1e-4, (name, i, j)
+
+
 def test_mean_square_hand_value():
     m = np.array([[1.0, 2.0], [3.0, 4.0]])
-    val, _ = nk.tape_forward(lambda p, c: nk.mean(nk.square(c[0])), {}, [m])
+    val, _ = nk.tape_forward(lambda tape, p: tape.mean(tape.square(p["m"])), {"m": m})
     assert val == 7.5
 
 
 def test_mean_empty_errors():
-    tape = nk.Tape()
-    empty = tape.const(np.zeros((0, 2)))
     with pytest.raises(ContractError):
-        nk.mean(empty)
+        nk.Tape().mean(np.zeros((0, 2)))
 
 
 def test_forward_matches_straight_line_evaluation():
@@ -55,7 +66,7 @@ def test_forward_matches_straight_line_evaluation():
     x = rng.standard_normal((5, 3))
     target = rng.standard_normal((5, 1))
 
-    val, _ = nk.tape_forward(_mlp_loss, params, [x, -target])
+    val, _ = nk.tape_forward(_mlp_loss(x, -target), params)
 
     h = np.tanh(x @ params["w1"] + params["b1"])
     out = h @ params["w2"] + params["b2"]
@@ -65,23 +76,36 @@ def test_forward_matches_straight_line_evaluation():
 
 def test_backward_hand_value_1x1():
     # loss = (w*x)^2 at w=2, x=3 -> d/dw = 2*w*x^2 = 36
-    def build(p, c):
-        return nk.mean(nk.square(nk.matmul(p["w"], c[0])))
+    def build(tape, p):
+        return tape.mean(tape.square(tape.matmul(p["w"], np.array([[3.0]]))))
 
-    _, tape = nk.tape_forward(build, {"w": np.array([[2.0]])}, [np.array([[3.0]])])
+    _, tape = nk.tape_forward(build, {"w": np.array([[2.0]])})
     grads = nk.tape_backward(tape)
     assert grads["w"].shape == (1, 1)
     assert abs(grads["w"][0, 0] - 36.0) <= 1e-12
 
 
 def test_constant_loss_zero_gradients():
-    def build(p, c):
-        return nk.mean(nk.square(c[0]))
+    def build(tape, p):
+        return tape.mean(tape.square(np.ones((2, 2))))
 
-    _, tape = nk.tape_forward(build, {"w": np.eye(2)}, [np.ones((2, 2))])
+    val, tape = nk.tape_forward(build, {"w": np.eye(2)})
     grads = nk.tape_backward(tape)
+    assert val == 1.0
     assert grads.keys() == {"w"}
     assert np.array_equal(grads["w"], np.zeros((2, 2)))
+
+
+def test_op_on_constants_returns_bare_array_and_adds_no_node():
+    tape = nk.Tape()
+    w = tape.param("w", np.ones((2, 2)))
+    a, b, bias = np.ones((2, 2)), np.full((2, 2), 3.0), np.ones((1, 2))
+    outs = [tape.matmul(a, b), tape.add(a, b), tape.badd(a, bias), tape.mul(a, b),
+            tape.tanh(a), tape.sigmoid(a), tape.halve(b), tape.mean(a), tape.square(b)]
+    assert all(type(o) is np.ndarray for o in outs)
+    assert len(tape.nodes) == 1
+    assert isinstance(tape.mul(a, w), nk.Var)
+    assert len(tape.nodes) == 2
 
 
 def test_gradients_match_finite_differences():
@@ -89,24 +113,14 @@ def test_gradients_match_finite_differences():
     params = _mlp_params(rng)
     x = rng.standard_normal((6, 3))
     target = rng.standard_normal((6, 1))
-    consts = [x, -target]
-
-    _, tape = nk.tape_forward(_mlp_loss, params, consts)
-    grads = nk.tape_backward(tape)
-
-    for name, g in grads.items():
-        for i in range(g.shape[0]):
-            for j in range(g.shape[1]):
-                fd = _fd_grad(_mlp_loss, params, consts, name, i, j)
-                denom = max(abs(fd), 1e-8)
-                assert abs(g[i, j] - fd) / denom < 1e-4, (name, i, j)
+    _assert_matches_fd(_mlp_loss(x, -target), params)
 
 
-def test_tanh_sigmoid_mul_gradients_match_finite_differences():
-    def build(p, c):
-        h = nk.tanh(nk.badd(nk.matmul(c[0], p["w1"]), p["b1"]))
-        g = nk.sigmoid(nk.matmul(h, p["w2"]))
-        return nk.mean(nk.mul(g, nk.matmul(h, p["w3"])))
+def test_tanh_sigmoid_mul_halve_gradients_match_finite_differences():
+    def build(tape, p):
+        h = tape.tanh(tape.badd(tape.matmul(x, p["w1"]), p["b1"]))
+        g = tape.sigmoid(tape.matmul(h, p["w2"]))
+        return tape.mean(tape.halve(tape.mul(g, tape.matmul(h, p["w3"]))))
 
     rng = np.random.default_rng(11)
     params = {
@@ -115,52 +129,61 @@ def test_tanh_sigmoid_mul_gradients_match_finite_differences():
         "w2": rng.standard_normal((5, 2)),
         "w3": rng.standard_normal((5, 2)),
     }
-    consts = [rng.standard_normal((4, 3))]
-    _, tape = nk.tape_forward(build, params, consts)
-    grads = nk.tape_backward(tape)
-    for name, g in grads.items():
-        for i in range(g.shape[0]):
-            for j in range(g.shape[1]):
-                fd = _fd_grad(build, params, consts, name, i, j)
-                denom = max(abs(fd), 1e-8)
-                assert abs(g[i, j] - fd) / denom < 1e-4, (name, i, j)
+    x = rng.standard_normal((4, 3))
+    _assert_matches_fd(build, params)
+
+
+def test_var_feeding_three_ops_matches_central_difference():
+    # u feeds sigmoid, mul and last an add beside the Var v. Backward reaches
+    # the add first, whose identity pullback hands one array to u and to v;
+    # adding u's later shares into it in place would corrupt v's gradient.
+    rng = np.random.default_rng(13)
+    x = rng.standard_normal((5, 3))
+
+    def build(tape, p):
+        u = tape.tanh(tape.matmul(x, p["w"]))
+        v = tape.matmul(x, p["k"])
+        b = tape.mul(u, tape.sigmoid(u))
+        return tape.mean(tape.mul(tape.add(u, v), b))
+
+    _assert_matches_fd(build, {"w": rng.standard_normal((3, 2)),
+                               "k": rng.standard_normal((3, 2))})
 
 
 def test_reused_node_accumulates_gradient():
     # loss = mean(square(w + w)) -> d/dw = 8w
-    def build(p, c):
-        return nk.mean(nk.square(nk.add(p["w"], p["w"])))
+    def build(tape, p):
+        return tape.mean(tape.square(tape.add(p["w"], p["w"])))
 
     w = np.array([[1.5, -0.5]])
-    _, tape = nk.tape_forward(build, {"w": w}, [])
+    _, tape = nk.tape_forward(build, {"w": w})
     grads = nk.tape_backward(tape)
     np.testing.assert_allclose(grads["w"], 8.0 * w / 2.0, rtol=1e-14)
 
 
-def test_matmul_shape_error_names_primitive():
-    tape = nk.Tape()
-    a = tape.const(np.ones((2, 3)))
-    b = tape.const(np.ones((2, 3)))
-    with pytest.raises(DimensionError, match="matmul"):
-        nk.matmul(a, b)
-    with pytest.raises(DimensionError, match="add"):
-        nk.add(a, tape.const(np.ones((3, 2))))
-    with pytest.raises(DimensionError, match="badd"):
-        nk.badd(a, tape.const(np.ones((1, 2))))
-    with pytest.raises(DimensionError, match="mul"):
-        nk.mul(a, tape.const(np.ones((3, 3))))
+def test_backward_twice_gives_equal_gradients():
+    rng = np.random.default_rng(17)
+    x = rng.standard_normal((6, 3))
+
+    def build(tape, p):
+        h = tape.add(tape.matmul(x, p["w"]), tape.matmul(x, p["k"]))
+        h = tape.add(h, tape.halve(h))
+        return tape.mean(tape.square(tape.badd(h, p["b"])))
+
+    params = {"w": rng.standard_normal((3, 2)), "k": rng.standard_normal((3, 2)),
+              "b": rng.standard_normal((1, 2))}
+    _, tape = nk.tape_forward(build, params)
+    first = {k: g.copy() for k, g in nk.tape_backward(tape).items()}
+    second = nk.tape_backward(tape)
+    for name in params:
+        assert first[name].tobytes() == second[name].tobytes(), name
 
 
 def test_backward_requires_scalar_root():
-    def build(p, c):
-        return nk.square(c[0])
-
     with pytest.raises(ContractError):
-        nk.tape_forward(build, {}, [np.ones((2, 2))])
-    tape = nk.Tape()
-    tape.const(np.ones((1, 1)))
+        nk.tape_forward(lambda tape, p: tape.square(p["w"]), {"w": np.ones((2, 2))})
     with pytest.raises(ContractError):
-        nk.tape_backward(tape)
+        nk.tape_backward(nk.Tape())
 
 
 def test_duplicate_param_name_rejected():
@@ -183,14 +206,14 @@ def _mats(draw, rows, cols):
 @settings(max_examples=50, deadline=None)
 def test_gradient_scales_linearly(w, x, scale):
     def build_scaled(s):
-        def build(p, c):
-            loss = nk.mean(nk.square(nk.matmul(c[0], p["w"])))
-            return nk.mul(loss, c[1])
+        def build(tape, p):
+            loss = tape.mean(tape.square(tape.matmul(x, p["w"])))
+            return tape.mul(loss, np.array([[s]]))
 
         return build
 
-    _, t1 = nk.tape_forward(build_scaled(1.0), {"w": w}, [x, np.array([[1.0]])])
-    _, t2 = nk.tape_forward(build_scaled(scale), {"w": w}, [x, np.array([[scale]])])
+    _, t1 = nk.tape_forward(build_scaled(1.0), {"w": w})
+    _, t2 = nk.tape_forward(build_scaled(scale), {"w": w})
     g1 = nk.tape_backward(t1)["w"]
     g2 = nk.tape_backward(t2)["w"]
     np.testing.assert_allclose(g2, scale * g1, rtol=1e-10, atol=1e-12)
@@ -199,12 +222,12 @@ def test_gradient_scales_linearly(w, x, scale):
 @given(w=_mats(3, 3), x=_mats(2, 3))
 @settings(max_examples=50, deadline=None)
 def test_forward_backward_deterministic_and_finite(w, x):
-    def build(p, c):
-        h = nk.tanh(nk.matmul(c[0], p["w"]))
-        return nk.mean(nk.square(h))
+    def build(tape, p):
+        h = tape.tanh(tape.matmul(x, p["w"]))
+        return tape.mean(tape.square(h))
 
-    v1, t1 = nk.tape_forward(build, {"w": w}, [x])
-    v2, t2 = nk.tape_forward(build, {"w": w}, [x])
+    v1, t1 = nk.tape_forward(build, {"w": w})
+    v2, t2 = nk.tape_forward(build, {"w": w})
     assert v1 == v2 and np.isfinite(v1)
     g1, g2 = nk.tape_backward(t1)["w"], nk.tape_backward(t2)["w"]
     assert np.array_equal(g1, g2)

@@ -4,6 +4,7 @@ import pytest
 from causalflow import numkit as nk
 from causalflow import velocity_net as vn
 from causalflow.errors import ConfigError, ContractError, DimensionError
+from causalflow.ode_engine import encode_batch
 from causalflow.scm_data import Scaler
 
 
@@ -105,6 +106,21 @@ def test_domain_and_dimension_errors():
         vn.forward_batch(net, [0.0], 0.5, np.zeros((1, 4)), 1)
     with pytest.raises(ContractError):
         vn.forward_batch(net, [0.0], 0.5, np.zeros((1, 3)), 2)
+
+
+def test_per_row_vector_length_mismatch_names_argument():
+    net = _net(d_x=2)
+    calls = [
+        ("a has shape \\(2,\\), expected \\(1,\\)",
+         lambda: encode_batch(net, [0.3], np.zeros((1, 2)), [0, 1])),
+        ("t has shape \\(3,\\), expected \\(2,\\)",
+         lambda: vn.forward_batch(net, [0.1, 0.2], [0.1, 0.2, 0.3], np.zeros((2, 2)), 1)),
+        ("a has shape \\(2,\\), expected \\(3,\\)",
+         lambda: vn.evaluator(net, 3, np.zeros((3, 2)), [0, 1])),
+    ]
+    for needle, call in calls:
+        with pytest.raises(DimensionError, match=needle):
+            call()
 
 
 def test_time_encoding_dimensions():
@@ -225,7 +241,7 @@ def test_numpy_and_tape_backends_agree_bitwise():
     want = vn.core_forward(vn._NumpyOps, net.params, y_col, c, net.cfg)
     tape = nk.Tape()
     p = {name: tape.param(name, t) for name, t in net.params.items()}
-    got = vn.core_forward(vn.TapeOps(tape), p, tape.const(y_col), tape.const(c), net.cfg)
+    got = vn.core_forward(tape, p, y_col, c, net.cfg)
     assert got.value.tobytes() == want.tobytes()
 
 
