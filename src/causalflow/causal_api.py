@@ -17,6 +17,8 @@ from . import ode_engine as oe
 from .errors import ContractError, DimensionError
 from .velocity_net import FlowModel
 
+N_SAMPLES = 100  # draws per row for po, map and cate
+
 
 def _check_x(model: FlowModel, x) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
@@ -40,9 +42,23 @@ def _check_a(a, n: int) -> np.ndarray:
     return a.astype(np.int64)
 
 
-def _row_noise(seed: int, row: int, n_samples: int) -> np.ndarray:
-    # per-row stream: row results do not depend on batch composition
-    return np.random.default_rng([seed, row]).standard_normal(n_samples)
+def _noise(seed: int, n: int, n_samples: int) -> np.ndarray:
+    """(n, n_samples) base draws from one stream per row: a row's draws ignore its batch."""
+    if n_samples < 1:
+        raise ContractError("n_samples must be >= 1")
+    try:
+        z = np.empty((n, n_samples))
+    except ValueError:  # numpy's own limit on an array's size
+        raise ContractError(f"n_samples={n_samples}: {n} x {n_samples} draws do not fit "
+                            "in one array") from None
+    for i in range(n):
+        z[i] = np.random.default_rng([seed, i]).standard_normal(n_samples)
+    return z
+
+
+def map_estimate(y: np.ndarray, log_p: np.ndarray) -> np.ndarray:
+    """Per row, the draw of highest density; ties resolve to the lowest index."""
+    return y[np.arange(y.shape[0]), np.argmax(log_p, axis=1)]
 
 
 @dataclass
@@ -55,24 +71,17 @@ class PoSampleSet:
     log_p: np.ndarray
     seed: int
 
-    def map_estimate(self) -> float:
-        # ties resolve to the lowest index
-        return float(self.y[int(np.argmax(self.log_p))])
 
-
-def sample_po_batch(model: FlowModel, x, a, n_samples: int = 100,
-                    ode_cfg: oe.OdeConfig | None = None, seed: int = 0):
+def sample_po_batch(model: FlowModel, x, a, n_samples: int = N_SAMPLES,
+                    ode_cfg: oe.OdeConfig = oe.OdeConfig(), seed: int = 0):
     """Draw outcome samples with log-densities for each covariate row.
 
     Returns (y, log_p), both shaped (n_rows, n_samples), in original units.
     """
-    if n_samples < 1:
-        raise ContractError("n_samples must be >= 1")
     x = _check_x(model, x)
     n = x.shape[0]
     a = _check_a(a, n)
-    ode_cfg = ode_cfg or oe.OdeConfig()
-    z = np.stack([_row_noise(seed, i, n_samples) for i in range(n)])
+    z = _noise(seed, n, n_samples)
     x_std = model.scaler.transform_x(x)
     big_x = np.repeat(x_std, n_samples, axis=0)
     big_a = np.repeat(a, n_samples)
@@ -83,8 +92,8 @@ def sample_po_batch(model: FlowModel, x, a, n_samples: int = 100,
     return y, log_p
 
 
-def sample_po(model: FlowModel, x, a: int, n_samples: int = 100,
-              ode_cfg: oe.OdeConfig | None = None, seed: int = 0) -> PoSampleSet:
+def sample_po(model: FlowModel, x, a: int, n_samples: int = N_SAMPLES,
+              ode_cfg: oe.OdeConfig = oe.OdeConfig(), seed: int = 0) -> PoSampleSet:
     x = _check_x(model, x)
     if x.shape[0] != 1:
         raise ContractError("sample_po takes a single covariate row")
@@ -93,7 +102,7 @@ def sample_po(model: FlowModel, x, a: int, n_samples: int = 100,
 
 
 def predict_counterfactual_batch(model: FlowModel, ys, x, a,
-                                 ode_cfg: oe.OdeConfig | None = None) -> np.ndarray:
+                                 ode_cfg: oe.OdeConfig = oe.OdeConfig()) -> np.ndarray:
     """Abduct noise under the factual arm, replay it under the flipped arm."""
     x = _check_x(model, x)
     n = x.shape[0]
@@ -101,7 +110,6 @@ def predict_counterfactual_batch(model: FlowModel, ys, x, a,
     ys = np.asarray(ys, dtype=np.float64).reshape(-1)
     if ys.shape[0] != n:
         raise DimensionError(f"{ys.shape[0]} outcomes for {n} covariate rows")
-    ode_cfg = ode_cfg or oe.OdeConfig()
     x_std = model.scaler.transform_x(x)
     z = oe.encode_batch(model.net, model.scaler.transform_y(ys), x_std, a, ode_cfg)
     y_cf = oe.decode_batch(model.net, z, x_std, 1 - a, ode_cfg)
@@ -109,20 +117,17 @@ def predict_counterfactual_batch(model: FlowModel, ys, x, a,
 
 
 def predict_counterfactual(model: FlowModel, y: float, x, a: int,
-                           ode_cfg: oe.OdeConfig | None = None) -> float:
+                           ode_cfg: oe.OdeConfig = oe.OdeConfig()) -> float:
     out = predict_counterfactual_batch(model, [y], x, a, ode_cfg)
     return float(out[0])
 
 
-def estimate_cate(model: FlowModel, x, n_samples: int = 100,
-                  ode_cfg: oe.OdeConfig | None = None, seed: int = 0) -> np.ndarray:
+def estimate_cate(model: FlowModel, x, n_samples: int = N_SAMPLES,
+                  ode_cfg: oe.OdeConfig = oe.OdeConfig(), seed: int = 0) -> np.ndarray:
     """Per-row treatment effect: both arms decoded from the same noise draws."""
-    if n_samples < 1:
-        raise ContractError("n_samples must be >= 1")
     x = _check_x(model, x)
     n = x.shape[0]
-    ode_cfg = ode_cfg or oe.OdeConfig()
-    z = np.stack([_row_noise(seed, i, n_samples) for i in range(n)]).reshape(-1)
+    z = _noise(seed, n, n_samples).reshape(-1)
     x_std = model.scaler.transform_x(x)
     big_x = np.repeat(x_std, n_samples, axis=0)
     arms = []
@@ -133,26 +138,14 @@ def estimate_cate(model: FlowModel, x, n_samples: int = 100,
     return np.mean(arms[0] - arms[1], axis=1)
 
 
-def estimate_ate(model: FlowModel, x, n_samples: int = 100,
-                 ode_cfg: oe.OdeConfig | None = None, seed: int = 0) -> float:
-    return float(np.mean(estimate_cate(model, x, n_samples, ode_cfg, seed)))
-
-
-def map_po_batch(model: FlowModel, x, a, n_samples: int = 100,
-                 ode_cfg: oe.OdeConfig | None = None, seed: int = 0) -> np.ndarray:
+def map_po_batch(model: FlowModel, x, a, n_samples: int = N_SAMPLES,
+                 ode_cfg: oe.OdeConfig = oe.OdeConfig(), seed: int = 0) -> np.ndarray:
     """Highest-density sample per row (argmax over drawn candidates)."""
-    y, log_p = sample_po_batch(model, x, a, n_samples, ode_cfg, seed)
-    idx = np.argmax(log_p, axis=1)
-    return y[np.arange(y.shape[0]), idx]
-
-
-def map_po(model: FlowModel, x, a: int, n_samples: int = 100,
-           ode_cfg: oe.OdeConfig | None = None, seed: int = 0) -> float:
-    return sample_po(model, x, a, n_samples, ode_cfg, seed).map_estimate()
+    return map_estimate(*sample_po_batch(model, x, a, n_samples, ode_cfg, seed))
 
 
 def log_density_batch(model: FlowModel, ys, x, a,
-                      ode_cfg: oe.OdeConfig | None = None) -> np.ndarray:
+                      ode_cfg: oe.OdeConfig = oe.OdeConfig()) -> np.ndarray:
     """Exact log p(y | x, a) in original units (change of variables for y)."""
     x = _check_x(model, x)
     n = x.shape[0]
@@ -160,7 +153,6 @@ def log_density_batch(model: FlowModel, ys, x, a,
     ys = np.asarray(ys, dtype=np.float64).reshape(-1)
     if ys.shape[0] != n:
         raise DimensionError(f"{ys.shape[0]} outcomes for {n} covariate rows")
-    ode_cfg = ode_cfg or oe.OdeConfig()
     _, logp_std = oe.encode_with_logdensity_batch(
         model.net, model.scaler.transform_y(ys), model.scaler.transform_x(x),
         a, ode_cfg)
@@ -168,5 +160,5 @@ def log_density_batch(model: FlowModel, ys, x, a,
 
 
 def log_density(model: FlowModel, y: float, x, a: int,
-                ode_cfg: oe.OdeConfig | None = None) -> float:
+                ode_cfg: oe.OdeConfig = oe.OdeConfig()) -> float:
     return float(log_density_batch(model, [y], x, a, ode_cfg)[0])

@@ -9,7 +9,7 @@ head onto the difference (noise - outcome) with Adam updates.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -34,6 +34,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch_size < 1 or self.max_iters < 1 or self.loss_log_every < 1:
             raise ContractError("batch_size, max_iters, loss_log_every must be positive")
+        if self.seed < 0:
+            raise ContractError(f"seed must be non-negative, got {self.seed}")
         if not 0.0 <= self.lr < np.inf:
             raise ContractError(f"lr must be finite and non-negative, got {self.lr}")
         for key in ("adam_beta1", "adam_beta2"):
@@ -43,10 +45,7 @@ class TrainConfig:
             raise ContractError(f"adam_eps must be finite and positive, got {self.adam_eps}")
 
     def to_dict(self) -> dict:
-        return {"batch_size": self.batch_size, "max_iters": self.max_iters, "lr": self.lr,
-                "adam_beta1": self.adam_beta1, "adam_beta2": self.adam_beta2,
-                "adam_eps": self.adam_eps, "ipw": self.ipw, "seed": self.seed,
-                "loss_log_every": self.loss_log_every}
+        return asdict(self)
 
 
 @dataclass

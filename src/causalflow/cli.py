@@ -22,7 +22,7 @@ from . import __version__
 from . import causal_api as api
 from . import metrics as mt
 from .cfm_train import TrainConfig, train
-from .errors import ConfigError, ContractError, NumericError, SchemaError
+from .errors import ConfigError, ContractError, NumericError
 from .ode_engine import OdeConfig
 from .scm_data import (DgpConfig, atomic_write, default_config, fmt_float,
                        generate_ihdp_like, load_csv, standardize, write_csv)
@@ -32,20 +32,24 @@ from .velocity_net import FlowModel, NetConfig, load_model, save_model
 # ---------------------------------------------------------------- config io
 
 def read_kv_config(path) -> dict[str, str]:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from None
     out: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}: line {lineno} is not key=value")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if not key:
-                raise ConfigError(f"{path}: line {lineno} has an empty key")
-            if key in out:
-                raise ConfigError(f"{path}: duplicate key {key!r}")
-            out[key] = value
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}: line {lineno} is not key=value")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if not key:
+            raise ConfigError(f"{path}: line {lineno} has an empty key")
+        if key in out:
+            raise ConfigError(f"{path}: duplicate key {key!r}")
+        out[key] = value
     return out
 
 
@@ -70,81 +74,69 @@ def _parse_floats(key: str, raw: str) -> tuple[float, ...]:
                  for part in raw.split(","))
 
 
-def dgp_config_from_file(path, seed_override=None) -> DgpConfig:
+def _parse_field(kind: str, key: str, raw: str):
+    """One value by its dataclass annotation: bool, str, float tuple, int (or int | None), float."""
+    if kind == "bool":
+        return _parse_bool(key, raw)
+    if kind == "str":
+        return raw
+    if kind.startswith("tuple"):
+        return _parse_floats(key, raw)
+    return _parse_num(key, raw, int if kind.startswith("int") else float)
+
+
+def _typed_fields(cls, path, label: str, reserved=()) -> dict:
+    """A key=value file's values, each parsed by the annotation of cls's field of that name.
+
+    Keys in reserved, which the caller sets, may not appear in the file.
+    """
     kv = read_kv_config(path) if path else {}
-    known = {"n", "d_x", "beta", "omega", "w_shift", "noise_sd",
-             "propensity", "seed"}
-    unknown = set(kv) - known
+    kinds = {k: f.type for k, f in cls.__dataclass_fields__.items() if k not in reserved}
+    unknown = set(kv) - set(kinds)
     if unknown:
-        raise ConfigError(f"unknown generator keys: {sorted(unknown)}")
-    n = _parse_num("n", kv.get("n", "1000"), int)
-    d_x = _parse_num("d_x", kv.get("d_x", "10"), int)
-    seed = _parse_num("seed", kv.get("seed", "0"), int)
+        raise ConfigError(f"unknown {label} keys: {sorted(unknown)}")
+    return {key: _parse_field(kinds[key], key, raw) for key, raw in kv.items()}
+
+
+def _construct(path, make, kwargs: dict):
+    """make(**kwargs); a ContractError becomes a ConfigError that names the file."""
+    try:
+        return make(**kwargs)
+    except ContractError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+
+
+def dgp_config_from_file(path, seed_override=None) -> DgpConfig:
+    """Generator settings. One beta or w_shift value repeats d_x times; propensity is
+    balanced or logistic:c0,c1,..."""
+    kw = _typed_fields(DgpConfig, path, "generator", reserved=("propensity_coef",))
     if seed_override is not None:
-        seed = seed_override
-    over: dict = {}
+        kw["seed"] = seed_override
+    d_x = kw.get("d_x", default_config().d_x)
     for key in ("beta", "w_shift"):
-        if key in kv:
-            vals = _parse_floats(key, kv[key])
-            if len(vals) == 1:
-                vals = vals * d_x
-            if len(vals) != d_x:
-                raise ConfigError(f"{key}: got {len(vals)} values for d_x={d_x}")
-            over[key] = vals
-    if "omega" in kv:
-        over["omega"] = _parse_num("omega", kv["omega"], float)
-    if "noise_sd" in kv:
-        over["noise_sd"] = _parse_num("noise_sd", kv["noise_sd"], float)
-    if "propensity" in kv:
-        raw = kv["propensity"]
-        if raw == "balanced":
-            over["propensity"] = "balanced"
-        elif raw.startswith("logistic:"):
-            over["propensity"] = "logistic"
-            over["propensity_coef"] = _parse_floats("propensity", raw[9:])
-        else:
-            raise ConfigError(
-                f"propensity: expected balanced or logistic:c0,c1/..., got {raw!r}")
-    return default_config(n=n, d_x=d_x, seed=seed, **over)
+        if key in kw:
+            if len(kw[key]) == 1:
+                kw[key] *= d_x
+            if len(kw[key]) != d_x:
+                raise ConfigError(f"{key}: got {len(kw[key])} values for d_x={d_x}")
+    raw = kw.get("propensity", "balanced")
+    if raw.startswith("logistic:"):
+        kw.update(propensity="logistic", propensity_coef=_parse_floats("propensity", raw[9:]))
+    elif raw != "balanced":
+        raise ConfigError(f"propensity: expected balanced or logistic:c0,c1/..., got {raw!r}")
+    return _construct(path, default_config, kw)
 
 
 def train_config_from_file(path, seed_override=None) -> TrainConfig:
-    kv = read_kv_config(path) if path else {}
-    fields = TrainConfig.__dataclass_fields__
-    unknown = set(kv) - set(fields)
-    if unknown:
-        raise ConfigError(f"unknown training keys: {sorted(unknown)}")
-    kwargs: dict = {}
-    for key, raw in kv.items():
-        kind = fields[key].type
-        if kind == "bool":
-            kwargs[key] = _parse_bool(key, raw)
-        elif kind == "int":
-            kwargs[key] = _parse_num(key, raw, int)
-        else:
-            kwargs[key] = _parse_num(key, raw, float)
+    kw = _typed_fields(TrainConfig, path, "training")
     if seed_override is not None:
-        kwargs["seed"] = seed_override
-    return TrainConfig(**kwargs)
+        kw["seed"] = seed_override
+    return _construct(path, TrainConfig, kw)
 
 
 def net_config_from_file(path, d_x: int) -> NetConfig:
-    kv = read_kv_config(path) if path else {}
-    known = {"hidden_dim", "time_encoding", "time_frequencies", "init_seed"}
-    unknown = set(kv) - known
-    if unknown:
-        raise ConfigError(f"unknown net keys: {sorted(unknown)}")
-    kwargs: dict = {"d_x": d_x}
-    if "hidden_dim" in kv:
-        kwargs["hidden_dim"] = _parse_num("hidden_dim", kv["hidden_dim"], int)
-    if "time_encoding" in kv:
-        kwargs["time_encoding"] = kv["time_encoding"]
-    if "time_frequencies" in kv:
-        kwargs["time_frequencies"] = _parse_num(
-            "time_frequencies", kv["time_frequencies"], int)
-    if "init_seed" in kv:
-        kwargs["init_seed"] = _parse_num("init_seed", kv["init_seed"], int)
-    return NetConfig(**kwargs)
+    kw = _typed_fields(NetConfig, path, "net", reserved=("d_x",))
+    return _construct(path, NetConfig, {**kw, "d_x": d_x})
 
 
 # ---------------------------------------------------------------- manifests
@@ -269,10 +261,9 @@ def cmd_predict(args, argv) -> int:
 
 
 def _eval_once(model, tr, te, args) -> dict:
-    rep = mt.evaluate_all(model, tr, te, OdeConfig(n_steps=args.n_steps),
-                          seed=args.seed, max_rows=args.max_rows,
-                          noise_sd=args.noise_sd)
-    return rep.to_dict()
+    return mt.evaluate_all(model, tr, te, OdeConfig(n_steps=args.n_steps),
+                           seed=args.seed, max_rows=args.max_rows,
+                           noise_sd=args.noise_sd)
 
 
 def cmd_eval(args, argv) -> int:
@@ -289,13 +280,13 @@ def cmd_eval(args, argv) -> int:
             raise ContractError(
                 f"{ds.n} rows cannot support {args.folds} folds")
         train_cfg = train_config_from_file(args.train_config, args.seed)
+        net_cfg = net_config_from_file(args.net_config, ds.d_x)
         fold_of = np.random.default_rng(args.seed).permutation(ds.n) % args.folds
         folds = []
         for k in range(args.folds):
             tr_ds = ds.take(np.flatnonzero(fold_of != k))
             te_ds = ds.take(np.flatnonzero(fold_of == k))
             std_tr, scaler = standardize(tr_ds)
-            net_cfg = net_config_from_file(args.net_config, ds.d_x)
             net, _ = train(std_tr, net_cfg, train_cfg)
             model = FlowModel(net=net, scaler=scaler)
             folds.append(_eval_once(model, tr_ds, te_ds, args))
@@ -340,6 +331,16 @@ def cmd_a3test(args, argv) -> int:
 
 # ------------------------------------------------------------------ wiring
 
+def _int_at_least(lo: int):
+    def parse(raw: str) -> int:
+        value = int(raw)
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be at least {lo}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse's "invalid int value" message names the type
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="causalflow",
@@ -350,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("generate", help="write a synthetic benchmark CSV")
     g.add_argument("--config", help="generator key=value file")
     g.add_argument("--out", required=True)
-    g.add_argument("--seed", type=int, help="override the config seed")
+    g.add_argument("--seed", type=_int_at_least(0), help="override the config seed")
     g.set_defaults(fn=cmd_generate)
 
     t = sub.add_parser("train", help="fit a flow model on a CSV")
@@ -358,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--out", required=True, help="model JSON path")
     t.add_argument("--train-config")
     t.add_argument("--net-config")
-    t.add_argument("--seed", type=int, help="override the training seed")
+    t.add_argument("--seed", type=_int_at_least(0), help="override the training seed")
     t.set_defaults(fn=cmd_train)
 
     pr = sub.add_parser("predict", help="query a trained model")
@@ -367,9 +368,9 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--mode", required=True,
                     choices=["po", "cf", "cate", "map", "density"])
     pr.add_argument("--out", required=True)
-    pr.add_argument("--n-samples", type=int, default=100)
-    pr.add_argument("--n-steps", type=int, default=64)
-    pr.add_argument("--seed", type=int, default=0)
+    pr.add_argument("--n-samples", type=int, default=api.N_SAMPLES)
+    pr.add_argument("--n-steps", type=int, default=OdeConfig.n_steps)
+    pr.add_argument("--seed", type=_int_at_least(0), default=0)
     pr.set_defaults(fn=cmd_predict)
 
     e = sub.add_parser("eval", help="metric report for a model or k folds")
@@ -381,9 +382,9 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--train-config")
     e.add_argument("--net-config")
     e.add_argument("--out", required=True)
-    e.add_argument("--seed", type=int, default=0)
-    e.add_argument("--n-steps", type=int, default=64)
-    e.add_argument("--max-rows", type=int, default=128)
+    e.add_argument("--seed", type=_int_at_least(0), default=0)
+    e.add_argument("--n-steps", type=int, default=OdeConfig.n_steps)
+    e.add_argument("--max-rows", type=_int_at_least(1), default=mt.MAX_ROWS)
     e.add_argument("--noise-sd", type=float, default=1.0)
     e.set_defaults(fn=cmd_eval)
 
@@ -391,9 +392,9 @@ def build_parser() -> argparse.ArgumentParser:
     a3.add_argument("--model", required=True)
     a3.add_argument("--data", required=True)
     a3.add_argument("--out", required=True)
-    a3.add_argument("--seed", type=int, default=0)
-    a3.add_argument("--n-steps", type=int, default=64)
-    a3.add_argument("--max-rows", type=int, default=128)
+    a3.add_argument("--seed", type=_int_at_least(0), default=0)
+    a3.add_argument("--n-steps", type=int, default=OdeConfig.n_steps)
+    a3.add_argument("--max-rows", type=_int_at_least(1), default=mt.MAX_ROWS)
     a3.set_defaults(fn=cmd_a3test)
     return p
 
@@ -403,7 +404,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args, argv)
-    except (ConfigError, SchemaError, ContractError, ValueError) as exc:
+    except (ConfigError, ContractError) as exc:  # SchemaError is a ConfigError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
@@ -416,3 +417,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -9,7 +9,6 @@ that the available truth columns permit, on train and test splits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -19,7 +18,7 @@ from .errors import ContractError, DimensionError
 from .scm_data import CausalDataset
 from .velocity_net import FlowModel
 
-_LOG_2PI = math.log(2.0 * math.pi)
+MAX_ROWS = 128  # rows per split that evaluate_all and mmd_a3_test use
 
 
 def rmse(pred, truth) -> float:
@@ -56,7 +55,7 @@ def wasserstein1(u, v) -> float:
 
 
 def kl_vs_gaussian_truth(model: FlowModel, x, a, mu, sd: float = 1.0,
-                         n_mc: int = 256, ode_cfg: oe.OdeConfig | None = None,
+                         n_mc: int = 256, ode_cfg: oe.OdeConfig = oe.OdeConfig(),
                          seed: int = 0) -> tuple[float, float]:
     """Monte Carlo KL(model || N(mu_i, sd^2)), averaged over rows, and its standard error.
 
@@ -74,7 +73,7 @@ def kl_vs_gaussian_truth(model: FlowModel, x, a, mu, sd: float = 1.0,
     if mu.shape[0] != x.shape[0]:
         raise DimensionError(f"{mu.shape[0]} means for {x.shape[0]} rows")
     y, logp = api.sample_po_batch(model, x, a, n_mc, ode_cfg, seed)
-    log_truth = -0.5 * _LOG_2PI - math.log(sd) \
+    log_truth = -0.5 * oe.LOG_2PI - math.log(sd) \
         - 0.5 * ((y - mu[:, None]) / sd) ** 2
     diff = logp - log_truth
     est = float(np.mean(np.mean(diff, axis=1)))
@@ -136,8 +135,8 @@ def mmd_squared(z1, x1, a1, z2, x2, a2) -> float:
 
 
 def mmd_a3_test(model: FlowModel, ds: CausalDataset,
-                ode_cfg: oe.OdeConfig | None = None, seed: int = 0,
-                max_rows: int = 128) -> dict:
+                ode_cfg: oe.OdeConfig = oe.OdeConfig(), seed: int = 0,
+                max_rows: int = MAX_ROWS) -> dict:
     """Does abducted noise look like fresh standard normal noise?
 
     Encodes factual outcomes to z and compares (z, x, a) against the same
@@ -148,7 +147,6 @@ def mmd_a3_test(model: FlowModel, ds: CausalDataset,
     if n < 2:
         raise ContractError("mmd_a3_test needs at least 2 rows")
     sub = ds.take(np.arange(n))
-    ode_cfg = ode_cfg or oe.OdeConfig()
     x_std = model.scaler.transform_x(sub.x)
     z = oe.encode_batch(model.net, model.scaler.transform_y(sub.y),
                         x_std, sub.a, ode_cfg)
@@ -162,17 +160,6 @@ def mmd_a3_test(model: FlowModel, ds: CausalDataset,
     }
 
 
-@dataclass
-class MetricsReport:
-    """Metric name -> {"in": train value, "out": test value}, plus run info."""
-
-    metrics: dict = field(default_factory=dict)
-    meta: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {"metrics": self.metrics, "meta": self.meta}
-
-
 def _eval_split(model: FlowModel, ds: CausalDataset, ode_cfg, seed: int,
                 predictor, max_rows: int, kl_rows: int, kl_mc: int,
                 n_samples: int, w1_samples: int, noise_sd: float) -> dict:
@@ -184,7 +171,7 @@ def _eval_split(model: FlowModel, ds: CausalDataset, ode_cfg, seed: int,
     y_samp, logp_samp = api.sample_po_batch(model, x, a, n_samples, ode_cfg, seed)
     if predictor is None:
         pred_f = np.mean(y_samp, axis=1)
-        pred_map = y_samp[np.arange(n), np.argmax(logp_samp, axis=1)]
+        pred_map = api.map_estimate(y_samp, logp_samp)
     else:
         pred_f = np.asarray(predictor.factual(x, a), dtype=np.float64)
         pred_map = pred_f
@@ -232,17 +219,19 @@ def _eval_split(model: FlowModel, ds: CausalDataset, ode_cfg, seed: int,
 
 
 def evaluate_all(model: FlowModel, train_ds: CausalDataset,
-                 test_ds: CausalDataset, ode_cfg: oe.OdeConfig | None = None,
-                 seed: int = 0, predictor=None, max_rows: int = 128,
+                 test_ds: CausalDataset, ode_cfg: oe.OdeConfig = oe.OdeConfig(),
+                 seed: int = 0, predictor=None, max_rows: int = MAX_ROWS,
                  kl_rows: int = 64, kl_mc: int = 256, n_samples: int = 64,
-                 w1_samples: int = 16, noise_sd: float = 1.0) -> MetricsReport:
+                 w1_samples: int = 16, noise_sd: float = 1.0) -> dict:
     """Run every metric the truth columns allow, on both splits.
+
+    Returns {"metrics": {name: {"in": train value, "out": test value}},
+    "meta": run settings}.
 
     predictor, when given, supplies the point predictions (factual,
     counterfactual, cate) in place of the flow model; the distributional
     metrics always come from the model.
     """
-    ode_cfg = ode_cfg or oe.OdeConfig()
     splits = {"in": train_ds, "out": test_ds}
     per_split = {
         tag: _eval_split(model, ds, ode_cfg, seed, predictor, max_rows,
@@ -267,4 +256,4 @@ def evaluate_all(model: FlowModel, train_ds: CausalDataset,
         "n_steps": ode_cfg.n_steps,
         "predictor": "external" if predictor is not None else "model",
     }
-    return MetricsReport(metrics=metrics, meta=meta)
+    return {"metrics": metrics, "meta": meta}

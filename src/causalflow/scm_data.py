@@ -42,6 +42,8 @@ class DgpConfig:
             raise ContractError("beta and w_shift must have d_x entries")
         if self.noise_sd < 0:
             raise ContractError("noise_sd must be non-negative")
+        if self.seed < 0:
+            raise ContractError(f"seed must be non-negative, got {self.seed}")
         if self.propensity not in ("balanced", "logistic"):
             raise ContractError(f"unknown propensity {self.propensity!r}")
         if self.propensity == "logistic":
@@ -179,19 +181,22 @@ def load_csv(path) -> CausalDataset:
     The header must contain x0..x{d-1}, a, y; mu0/mu1/ycf are optional.
     Raises SchemaError for header problems, for a wrong field count, a
     non-numeric cell or a treatment other than 0/1 (naming the 1-based data
-    row), and for nan/inf cells (naming the row and the column). A leading
-    UTF-8 byte-order mark, as spreadsheet programs write it, is skipped.
+    row), for nan/inf cells (naming the row and the column), and for a file
+    that is not UTF-8 text or not CSV. A leading UTF-8 byte-order mark, as
+    spreadsheet programs write it, is skipped.
     """
-    with open(path, "r", newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: empty file") from None
-        rows = list(reader)
+    try:
+        with open(path, "r", newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            rows = list(reader)
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise SchemaError(f"{path}: not a readable CSV: {exc}") from None
+    if header is None:
+        raise SchemaError(f"{path}: empty file")
 
     header = [h.strip() for h in header]
-    x_cols = sorted((h for h in header if h.startswith("x") and h[1:].isdigit()),
+    x_cols = sorted((h for h in header if h.startswith("x") and h[1:].isdecimal()),
                     key=lambda h: int(h[1:]))
     d = len(x_cols)
     if d == 0 or x_cols != [f"x{i}" for i in range(d)]:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import operator
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -52,6 +52,8 @@ class NetConfig:
             raise ContractError("time_frequencies must be at least 1")
         if self.hidden_dim is not None and self.hidden_dim < 1:
             raise ContractError("hidden_dim must be at least 1")
+        if self.init_seed < 0:
+            raise ContractError(f"init_seed must be non-negative, got {self.init_seed}")
 
     @property
     def hidden(self) -> int:
@@ -66,9 +68,7 @@ class NetConfig:
         return self.d_x + 1 + self.t_dim
 
     def to_dict(self) -> dict:
-        return {"d_x": self.d_x, "hidden_dim": self.hidden_dim,
-                "n_res_blocks": _RES_BLOCKS, "time_encoding": self.time_encoding,
-                "time_frequencies": self.time_frequencies, "init_seed": self.init_seed}
+        return {**asdict(self), "n_res_blocks": _RES_BLOCKS}
 
     @classmethod
     def from_dict(cls, d: dict) -> "NetConfig":
@@ -358,7 +358,7 @@ def load_model(path) -> FlowModel:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON, bad UTF-8, an over-long integer
             raise ConfigError(f"{path}: not a valid model file: {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: not a valid model file: expected a JSON object")

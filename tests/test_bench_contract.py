@@ -1,19 +1,26 @@
-"""What the benchmark's tracer reaches inside the package.
+"""What the benchmark reaches inside the package.
 
 bench/tracing.py patches public functions by name, times each primitive
-of the numpy backend and counts tape nodes. It is read here, not edited,
-so a refactor of src/ that would break a benchmark run fails tier-1.
+of the numpy backend and counts tape nodes; bench/workloads.py calls the
+package's modules by attribute. Both are read here, not edited, so a
+refactor of src/ that would break a benchmark run fails tier-1.
 """
 
+import ast
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from causalflow import cfm_train, numkit, velocity_net
+from causalflow import (causal_api, cfm_train, cli, metrics, numkit, ode_engine,
+                        scm_data, velocity_net)
 
-_TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+_BENCH = Path(__file__).resolve().parent.parent / "bench"
+_TRACING = _BENCH / "tracing.py"
+_MODULES = {m.__name__.rsplit(".", 1)[1]: m for m in
+            (causal_api, cfm_train, cli, metrics, numkit, ode_engine, scm_data, velocity_net)}
 
 
 def _tracing():
@@ -40,3 +47,30 @@ def test_bench_tracer_reaches_what_it_names():
     assert isinstance(tape.nodes, list) and tape.nodes
     grads = numkit.tape_backward(tape)
     assert {k: g.shape for k, g in grads.items()} == {k: p.shape for k, p in net.params.items()}
+
+
+def test_bench_workloads_reach_what_they_name():
+    tree = ast.parse((_BENCH / "workloads.py").read_text(encoding="utf-8"))
+    calls = 0
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in _MODULES):
+            where = f"workloads.py:{node.lineno} {node.value.id}.{node.attr}"
+            assert hasattr(_MODULES[node.value.id], node.attr), where
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and isinstance(node.func.value, ast.Name) and node.func.value.id in _MODULES):
+            continue
+        sig = inspect.signature(getattr(_MODULES[node.func.value.id], node.func.attr))
+        where = f"workloads.py:{node.lineno} {node.func.value.id}.{node.func.attr}{sig}"
+        keywords = {k.arg: None for k in node.keywords if k.arg is not None}
+        if any(isinstance(a, ast.Starred) for a in node.args) or None in (
+                k.arg for k in node.keywords):
+            # a *args or **kwargs call: only its named keywords can be checked
+            assert set(keywords) <= set(sig.parameters), where
+        else:
+            try:
+                sig.bind(*node.args, **keywords)
+            except TypeError as exc:
+                raise AssertionError(f"{where}: {exc}") from None
+        calls += 1
+    assert calls > 20  # the workloads still reach the package through these names

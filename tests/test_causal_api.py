@@ -20,7 +20,7 @@ def _model(net, scaler=None):
 _A_ENTRY_POINTS = {
     "sample_po": lambda m, a: api.sample_po(m, [0.1, 0.2], a, n_samples=3),
     "sample_po_batch": lambda m, a: api.sample_po_batch(m, np.zeros((2, 2)), a, 3),
-    "map_po": lambda m, a: api.map_po(m, [0.1, 0.2], a, n_samples=3),
+    "map_po": lambda m, a: api.map_po_batch(m, [0.1, 0.2], a, n_samples=3),
     "map_po_batch": lambda m, a: api.map_po_batch(m, np.zeros((2, 2)), a, 3),
     "predict_counterfactual": lambda m, a: api.predict_counterfactual(m, 0.4, [0.1, 0.2], a),
     "predict_counterfactual_batch":
@@ -116,21 +116,21 @@ def test_cate_constant_offset_heads():
     x = np.zeros((3, 2))
     cate = api.estimate_cate(m, x, n_samples=5, seed=0)
     np.testing.assert_allclose(cate, np.full(3, -6.0), atol=1e-9)
-    assert api.estimate_ate(m, x, n_samples=5, seed=0) == pytest.approx(-6.0)
+    assert np.mean(cate) == pytest.approx(-6.0)
 
 
 def test_map_po_zero_field_picks_smallest_magnitude_sample():
     m = _model(linear_net(d_x=2))
     ps = api.sample_po(m, [0.0, 0.0], a=0, n_samples=40, seed=11)
     want = ps.y[np.argmin(np.abs(ps.y))]
-    assert api.map_po(m, [0.0, 0.0], 0, n_samples=40, seed=11) == want
-    assert ps.map_estimate() == want
+    assert api.map_po_batch(m, [0.0, 0.0], 0, n_samples=40, seed=11)[0] == want
+    assert api.map_estimate(ps.y[None], ps.log_p[None])[0] == want
 
 
 def test_map_po_single_sample_is_that_sample():
     m = _model(vn.init(vn.NetConfig(d_x=2, init_seed=8)))
     ps = api.sample_po(m, [0.1, 0.2], a=1, n_samples=1, seed=5)
-    assert api.map_po(m, [0.1, 0.2], 1, n_samples=1, seed=5) == ps.y[0]
+    assert api.map_po_batch(m, [0.1, 0.2], 1, n_samples=1, seed=5)[0] == ps.y[0]
 
 
 def test_log_density_zero_field():

@@ -1,12 +1,17 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from helpers import linear_net
+from hypothesis import given, settings, strategies as st
 
 from causalflow import cli
 from causalflow import causal_api as api
-from causalflow.errors import ConfigError
+from causalflow.errors import ConfigError, ContractError
 from causalflow.ode_engine import OdeConfig
 from causalflow.scm_data import Scaler, load_csv
 from causalflow.velocity_net import FlowModel, load_model, save_model
@@ -325,3 +330,157 @@ def test_eval_with_one_fold_exits_2(small_run, tmp_path, capsys):
                    "--out", str(tmp_path / "folds.json")])
     assert rc == 2
     assert "k-fold needs at least 2 folds" in capsys.readouterr().err
+
+
+def _exit_code(argv):
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:  # argparse rejected a flag value
+        return exc.code
+
+
+# id: (files to write, argv given the run's paths, what stderr must name)
+_EXIT_2_CASES = {
+    "csv-not-utf8": ({"bad.csv": b"x0,a,y\n\xff\xfe,1,2\n"},
+                     "train --data {d}/bad.csv --out {d}/m2.json", "bad.csv"),
+    "train-config-not-utf8": ({"bad.cfg": b"seed = \xff\n"},
+                              "train --data {data} --out {d}/m2.json --train-config {d}/bad.cfg",
+                              "bad.cfg"),
+    "net-config-not-utf8": ({"bad.cfg": b"hidden_dim = \xff\n"},
+                            "train --data {data} --out {d}/m2.json --net-config {d}/bad.cfg",
+                            "bad.cfg"),
+    "generator-config-not-utf8": ({"bad.cfg": b"\xff = 1\n"},
+                                  "generate --config {d}/bad.cfg --out {d}/g.csv", "bad.cfg"),
+    "model-not-utf8": ({"bad.json": b'{"format_version": 1, "\xff": 0}'},
+                       "predict --model {d}/bad.json --data {data} --mode cf --out {d}/p.csv",
+                       "bad.json"),
+    "train-config-seed": ({"neg.cfg": b"max_iters = 2\nseed = -1\n"},
+                          "train --data {data} --out {d}/m2.json --train-config {d}/neg.cfg",
+                          "neg.cfg"),
+    "net-config-init-seed": ({"neg.cfg": b"init_seed = -2\n"},
+                             "train --data {data} --out {d}/m2.json --net-config {d}/neg.cfg",
+                             "neg.cfg"),
+    "generator-config-seed": ({"neg.cfg": b"n = 5\nseed = -3\n"},
+                              "generate --config {d}/neg.cfg --out {d}/g.csv", "neg.cfg"),
+    "generate-seed-flag": ({}, "generate --out {d}/g.csv --seed -1", "--seed"),
+    "train-seed-flag": ({}, "train --data {data} --out {d}/m2.json --seed -1", "--seed"),
+    "predict-seed-flag": ({}, "predict --model {model} --data {data} --mode po --out {d}/p.csv "
+                              "--seed -1", "--seed"),
+    "eval-seed-flag": ({}, "eval --model {model} --train-data {data} --test-data {data} "
+                           "--out {d}/e.json --seed -1", "--seed"),
+    "a3test-seed-flag": ({}, "a3test --model {model} --data {data} --out {d}/a.json --seed -1",
+                         "--seed"),
+    "eval-max-rows-0": ({}, "eval --model {model} --train-data {data} --test-data {data} "
+                            "--out {d}/e.json --max-rows 0", "--max-rows"),
+    "predict-n-samples-past-numpy-limit": ({}, "predict --model {model} --data {data} --mode po "
+                                               "--out {d}/p.csv --n-samples 10000000000000000000",
+                                           "n_samples"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_EXIT_2_CASES))
+def test_bad_input_exits_2_naming_the_file_or_flag(small_run, tmp_path, capsys, case):
+    _, _, _, data, model = small_run
+    files, argv, needle = _EXIT_2_CASES[case]
+    d = tmp_path / "bad"
+    d.mkdir()
+    for name, raw in files.items():
+        (d / name).write_bytes(raw)
+    capsys.readouterr()
+    rc = _exit_code([arg.format(d=d, data=data, model=model) for arg in argv.split()])
+    assert rc == 2
+    assert needle in capsys.readouterr().err
+
+
+def test_bare_value_error_in_a_command_is_not_a_user_error(tmp_path, monkeypatch):
+    def bug(cfg):
+        raise ValueError("a program bug")
+
+    monkeypatch.setattr(cli, "generate_ihdp_like", bug)
+    with pytest.raises(ValueError, match="a program bug"):
+        cli.main(["generate", "--out", str(tmp_path / "d.csv")])
+
+
+@pytest.mark.parametrize("mode", ["po", "cf", "cate", "map", "density"])
+def test_predict_on_header_only_csv_writes_header_only_file(small_run, tmp_path, mode):
+    _, _, _, data, model = small_run
+    header = Path(data).read_text(encoding="utf-8").splitlines()[0]
+    empty = _write(tmp_path / "empty.csv", header + "\n")
+    out = tmp_path / f"{mode}.csv"
+    assert cli.main(["predict", "--model", model, "--data", empty, "--mode", mode,
+                     "--out", str(out), "--n-samples", "3", "--n-steps", "4"]) == 0
+    logp = ",logp" if mode in ("po", "density") else ""
+    assert out.read_text(encoding="utf-8") == f"row,mode,value{logp}\n"
+
+
+def _module_cli(*args, cwd):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "causalflow.cli", *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_module_form_runs_the_cli(tmp_path):
+    done = _module_cli("--version", cwd=tmp_path)
+    assert done.returncode == 0
+    assert done.stdout.strip() == "0.1.0"
+    dgp = _write(tmp_path / "dgp.cfg", "n = 12\nd_x = 2\nseed = 1\n")
+    done = _module_cli("generate", "--config", dgp, "--out", "d.csv", cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert load_csv(tmp_path / "d.csv").n == 12
+
+
+_KEYS = ["n", "d_x", "beta", "omega", "w_shift", "noise_sd", "propensity", "seed",
+         "batch_size", "max_iters", "lr", "adam_eps", "ipw", "hidden_dim", "time_encoding",
+         "time_frequencies", "init_seed", "n_res_blocks"]
+_VALUES = st.one_of(
+    st.integers(-3, 40).map(str),
+    st.floats().map(repr),
+    st.sampled_from(["true", "no", "sinusoidal", "scalar-append", "balanced",
+                     "logistic:0.1,0.2", "logistic:", "1,2,3", "0.5", "", "None"]),
+    st.text(max_size=8))
+_LINES = st.one_of(st.tuples(st.sampled_from(_KEYS), _VALUES).map(" = ".join),
+                   st.text(max_size=20))
+_CONFIG_BYTES = st.one_of(st.lists(_LINES, max_size=6).map(lambda ls: "\n".join(ls).encode()),
+                          st.binary(max_size=64))
+
+
+@pytest.fixture(scope="module")
+def scratch_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("configs")
+
+
+@given(raw=_CONFIG_BYTES)
+@settings(max_examples=80, deadline=None)
+def test_config_readers_load_or_raise_config_errors(scratch_dir, raw):
+    path = scratch_dir / "c.cfg"
+    path.write_bytes(raw)
+    for read in (cli.dgp_config_from_file, cli.train_config_from_file,
+                 lambda p: cli.net_config_from_file(p, d_x=3)):
+        try:
+            read(str(path))
+        except (ConfigError, ContractError):
+            pass
+
+
+def test_typed_config_reader_keeps_the_accepted_keys(tmp_path):
+    train_keys = ["batch_size", "max_iters", "lr", "adam_beta1", "adam_beta2", "adam_eps",
+                  "ipw", "seed", "loss_log_every"]
+    vals = ["8", "3", "0.01", "0.8", "0.99", "1e-7", "yes", "5", "2"]
+    t = _write(tmp_path / "t.cfg", "".join(f"{k} = {v}\n" for k, v in zip(train_keys, vals)))
+    tc = cli.train_config_from_file(t)
+    assert tc.to_dict() == dict(batch_size=8, max_iters=3, lr=0.01, adam_beta1=0.8,
+                                adam_beta2=0.99, adam_eps=1e-7, ipw=True, seed=5,
+                                loss_log_every=2)
+    n = _write(tmp_path / "n.cfg", "hidden_dim = 6\ntime_encoding = sinusoidal\n"
+                                   "time_frequencies = 2\ninit_seed = 4\n")
+    assert cli.net_config_from_file(n, d_x=3).to_dict() == dict(
+        d_x=3, hidden_dim=6, n_res_blocks=2, time_encoding="sinusoidal",
+        time_frequencies=2, init_seed=4)
+    for key in ("d_x", "n_res_blocks"):
+        bad = _write(tmp_path / f"{key}.cfg", f"{key} = 2\n")
+        with pytest.raises(ConfigError, match=f"unknown net keys: \\['{key}'\\]"):
+            cli.net_config_from_file(bad, d_x=3)
+    with pytest.raises(ConfigError, match="unknown training keys"):
+        cli.train_config_from_file(n)

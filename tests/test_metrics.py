@@ -183,12 +183,12 @@ def test_evaluate_all_with_generating_process_predictor():
                           max_rows=64, kl_rows=4, kl_mc=16, n_samples=8,
                           w1_samples=4)
     for tag in ("in", "out"):
-        assert rep.metrics["rmse_cf"][tag] <= 1e-10
-        assert rep.metrics["pehe"][tag] == 0.0
-        assert 0.7 < rep.metrics["rmse_factual"][tag] < 1.3
-    assert rep.meta["predictor"] == "external"
-    assert rep.meta["rows_in"] == 64
-    assert rep.meta["rows_out"] == 64
+        assert rep["metrics"]["rmse_cf"][tag] <= 1e-10
+        assert rep["metrics"]["pehe"][tag] == 0.0
+        assert 0.7 < rep["metrics"]["rmse_factual"][tag] < 1.3
+    assert rep["meta"]["predictor"] == "external"
+    assert rep["meta"]["rows_in"] == 64
+    assert rep["meta"]["rows_out"] == 64
 
 
 def test_evaluate_all_without_truth_columns_drops_metrics():
@@ -198,7 +198,7 @@ def test_evaluate_all_without_truth_columns_drops_metrics():
                        y=rng.standard_normal(20))
     rep = mt.evaluate_all(_model(2), ds, ds, max_rows=20, kl_rows=2, kl_mc=4,
                           n_samples=4, w1_samples=2)
-    assert set(rep.metrics) == {"rmse_factual", "rmse_map", "mmd_model",
+    assert set(rep["metrics"]) == {"rmse_factual", "rmse_map", "mmd_model",
                                 "mmd_truth_baseline"}
 
 
@@ -210,11 +210,11 @@ def test_evaluate_all_model_path_is_deterministic():
     m = _model(2)
     r1 = mt.evaluate_all(m, tr, te, **kwargs)
     r2 = mt.evaluate_all(m, tr, te, **kwargs)
-    assert r1.to_dict() == r2.to_dict()
+    assert r1 == r2
     expect = {"rmse_factual", "rmse_map", "rmse_cf", "pehe", "kl", "kl_se",
               "w1_arm0", "w1_arm1", "mmd_model", "mmd_truth_baseline"}
-    assert set(r1.metrics) == expect
-    for name, vals in r1.metrics.items():
+    assert set(r1["metrics"]) == expect
+    for name, vals in r1["metrics"].items():
         assert set(vals) == {"in", "out"}, name
 
 

@@ -69,6 +69,8 @@ def test_config_validation():
     with pytest.raises(ContractError):
         sd.DgpConfig(n=5, d_x=1, beta=(0.0,), omega=0.0, w_shift=(0.0,),
                      propensity="logistic")
+    with pytest.raises(ContractError, match="seed"):
+        _cfg(seed=-1)
 
 
 def test_truth_columns_match_hand_formula():
@@ -291,4 +293,46 @@ def test_csv_non_finite_cell_names_row_and_column(tmp_path, cell):
     path = tmp_path / "bad.csv"
     path.write_text(f"x0,x1,a,y\n0.1,0.2,1,0.3\n0.1,{cell},0,0.3\n0.5,0.5,1,{cell}\n")
     with pytest.raises(SchemaError, match="row 2, column 'x1'"):
+        sd.load_csv(path)
+
+
+_CELLS = st.one_of(st.sampled_from(["0", "1", "1.0", "0.5", "-2.5e3", "nan", "inf", "", " 1",
+                                    '"1"', "1e999"]),
+                   st.text(max_size=4))
+_HEADER = st.lists(st.sampled_from(["x0", "x1", "x2", "x01", "x²", "x٣", "a", "y", "mu0",
+                                    "mu1", "ycf", "﻿x0", "z"]), max_size=6)
+
+
+@st.composite
+def _csv_bytes(draw):
+    header = draw(_HEADER)
+    width = st.integers(max(0, len(header) - 1), len(header) + 1)
+    rows = draw(st.lists(width.flatmap(lambda k: st.lists(_CELLS, min_size=k, max_size=k)),
+                         max_size=4))
+    return "\n".join(",".join(r) for r in [header, *rows]).encode()
+
+
+@pytest.fixture(scope="module")
+def csv_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("csv")
+
+
+@given(raw=st.one_of(_csv_bytes(), st.binary(max_size=64)))
+@settings(max_examples=120, deadline=None)
+def test_load_csv_loads_or_raises_schema_error(csv_dir, raw):
+    path = csv_dir / "d.csv"
+    path.write_bytes(raw)
+    try:
+        ds = sd.load_csv(path)
+    except SchemaError:
+        return
+    assert np.all(np.isfinite(ds.x)) and np.all(np.isfinite(ds.y))
+    assert set(np.unique(ds.a)) <= {0, 1}
+
+
+@pytest.mark.parametrize("raw", [b"x0,a,y\n\xff,1,2\n", "x²,a,y\n1,1,2\n".encode()])
+def test_csv_undecodable_or_odd_header_raises_schema_error(tmp_path, raw):
+    path = tmp_path / "d.csv"
+    path.write_bytes(raw)
+    with pytest.raises(SchemaError, match="d.csv"):
         sd.load_csv(path)
