@@ -238,7 +238,7 @@ def cmd_predict(args, argv) -> int:
         lines.append("row,mode,value")
         lines.extend(f"{i},cf,{fmt_float(v)}" for i, v in enumerate(y_cf))
     elif mode == "cate":
-        tau = api.estimate_cate(model, ds.x, args.n_samples, ode_cfg, args.seed)
+        tau = api.estimate_cate(model, ds.x, ode_cfg)
         lines.append("row,mode,value")
         lines.extend(f"{i},cate,{fmt_float(v)}" for i, v in enumerate(tau))
     elif mode == "map":
@@ -368,9 +368,11 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--mode", required=True,
                     choices=["po", "cf", "cate", "map", "density"])
     pr.add_argument("--out", required=True)
-    pr.add_argument("--n-samples", type=int, default=api.N_SAMPLES)
+    pr.add_argument("--n-samples", type=int, default=api.N_SAMPLES,
+                    help="draws per row for po and map")
     pr.add_argument("--n-steps", type=int, default=OdeConfig.n_steps)
-    pr.add_argument("--seed", type=_int_at_least(0), default=0)
+    pr.add_argument("--seed", type=_int_at_least(0), default=0,
+                    help="noise seed for po and map")
     pr.set_defaults(fn=cmd_predict)
 
     e = sub.add_parser("eval", help="metric report for a model or k folds")

@@ -190,7 +190,7 @@ def _eval_split(model: FlowModel, ds: CausalDataset, ode_cfg, seed: int,
     if has_mu:
         tau = sub.mu1 - sub.mu0
         if predictor is None:
-            pred_tau = api.estimate_cate(model, x, n_samples, ode_cfg, seed)
+            pred_tau = api.estimate_cate(model, x, ode_cfg)
         else:
             pred_tau = np.asarray(predictor.cate(x), dtype=np.float64)
         out["pehe"] = pehe(pred_tau, tau)

@@ -358,7 +358,7 @@ def load_model(path) -> FlowModel:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except ValueError as exc:  # bad JSON, bad UTF-8, an over-long integer
+        except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, a long int, deep nesting
             raise ConfigError(f"{path}: not a valid model file: {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: not a valid model file: expected a JSON object")
@@ -380,7 +380,7 @@ def load_model(path) -> FlowModel:
         try:
             shape = tuple(entry["shape"])
             data = np.asarray(entry["data"], dtype=np.float64)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"{path}: tensor {name!r} is malformed: {exc!r}") from None
         if shape != (rows, cols):
             raise ConfigError(
@@ -393,7 +393,7 @@ def load_model(path) -> FlowModel:
         params[name] = data.reshape(rows, cols)
     try:
         scaler = Scaler.from_dict(doc["scaler"]) if doc.get("scaler") else Scaler.identity(cfg.d_x)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{path}: scaler is malformed: {exc!r}") from None
     if not len(scaler.x_mean) == len(scaler.x_sd) == cfg.d_x:
         raise ConfigError(f"{path}: scaler has {len(scaler.x_mean)} means and "

@@ -3,6 +3,7 @@
 Gates 3-11 and 13 share one trained model: default generator (n=2000,
 d_x=10, unit noise, seed 0), 90/10 split, 500 training iterations at
 batch 200, lr 5e-3. Everything is seeded, so verdicts are reproducible.
+The CATE quadrature check beside gate 05 reuses that model; it is not a gate.
 """
 
 import itertools
@@ -12,6 +13,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from numpy.polynomial.hermite_e import hermegauss
 
 from causalflow import causal_api as api
 from causalflow import cli
@@ -127,14 +129,25 @@ def test_gate_04_counterfactuals_beat_factual_copy(bench):
 def test_gate_05_cate_beats_constant_effect(bench):
     te = bench.test_ds
     tau = te.mu1 - te.mu0
-    cate = api.estimate_cate(bench.model, te.x, n_samples=64, ode_cfg=ODE,
-                             seed=0)
+    cate = api.estimate_cate(bench.model, te.x, ode_cfg=ODE)
     got = mt.pehe(cate, tau)
     bound = 0.5 * float(np.std(tau))
     const = mt.pehe(np.full(te.n, float(np.mean(cate))), tau)
     _verdict(5, got <= bound and got < const,
              f"sqrt-pehe {got:.3f} (<= {bound:.3f} and < constant-effect "
              f"{const:.3f})")
+
+
+def test_cate_quadrature_is_within_1e3_of_a_gh64_reference(bench):
+    x = bench.test_ds.x[:64]
+    z, w = hermegauss(64)
+    w = w / w.sum()
+    x_std = np.repeat(bench.x_std[:64], z.size, axis=0)
+    arms = [bench.scaler.inverse_y(decode_batch(bench.net, np.tile(z, 64), x_std, arm, ODE))
+            .reshape(64, z.size) for arm in (1, 0)]
+    want = (arms[0] - arms[1]) @ w
+    err = float(np.max(np.abs(api.estimate_cate(bench.model, x, ODE) - want)))
+    assert err <= 1e-3, f"max |GH16 - GH64| = {err:.2e}"
 
 
 def test_gate_06_kl_against_known_outcome_law(bench):

@@ -101,7 +101,7 @@ def test_cate_zero_when_arms_identical():
     net = symmetrize_arms(vn.init(vn.NetConfig(d_x=2, init_seed=3)))
     m = _model(net)
     x = np.random.default_rng(1).standard_normal((4, 2))
-    cate = api.estimate_cate(m, x, n_samples=16, seed=2)
+    cate = api.estimate_cate(m, x)
     np.testing.assert_array_equal(cate, np.zeros(4))
 
 
@@ -114,9 +114,19 @@ def test_cate_constant_offset_heads():
     sc = Scaler((0.0, 0.0), (1.0, 1.0), y_mean=0.5, y_sd=3.0)
     m = _model(net, sc)
     x = np.zeros((3, 2))
-    cate = api.estimate_cate(m, x, n_samples=5, seed=0)
+    cate = api.estimate_cate(m, x)
     np.testing.assert_allclose(cate, np.full(3, -6.0), atol=1e-9)
     assert np.mean(cate) == pytest.approx(-6.0)
+
+
+def test_cate_of_a_row_ignores_its_batch():
+    sc = Scaler((0.2, -0.1), (1.3, 0.7), y_mean=0.4, y_sd=2.5)
+    m = _model(vn.init(vn.NetConfig(d_x=2, init_seed=6)), sc)
+    x = np.random.default_rng(4).standard_normal((64, 2))
+    batch = api.estimate_cate(m, x, oe.OdeConfig(n_steps=8))
+    for i in (0, 17, 63):
+        alone = api.estimate_cate(m, x[i], oe.OdeConfig(n_steps=8))
+        np.testing.assert_allclose(alone, batch[i:i + 1], rtol=1e-12, atol=0)
 
 
 def test_map_po_zero_field_picks_smallest_magnitude_sample():
@@ -166,8 +176,8 @@ def test_argument_validation():
         api.sample_po(m, [0.0, 0.0], a=2, n_samples=2)
     with pytest.raises(ContractError):
         api.sample_po(m, [0.0, 0.0], a=1, n_samples=0)
-    with pytest.raises(ContractError):
-        api.estimate_cate(m, np.zeros((2, 2)), n_samples=0)
+    with pytest.raises(DimensionError):
+        api.estimate_cate(m, np.zeros((2, 3)))
 
 
 def test_sampling_is_deterministic():

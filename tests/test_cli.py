@@ -150,6 +150,28 @@ def test_predict_modes(small_run, tmp_path):
         assert len((tmp_path / f"{mode}.csv").read_text().splitlines()) == ds.n + 1
 
 
+def test_predict_cate_ignores_seed_and_n_samples(small_run, tmp_path):
+    _, _, _, data, model = small_run
+    outs = []
+    for seed, n_samples in (("0", "64"), ("5", "3")):
+        out = tmp_path / f"cate-{seed}.csv"
+        assert cli.main(["predict", "--model", model, "--data", data, "--mode", "cate",
+                         "--out", str(out), "--seed", seed, "--n-samples", n_samples,
+                         "--n-steps", "8"]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+
+
+def test_predict_on_deeply_nested_model_file_exits_2(small_run, tmp_path, capsys):
+    _, _, _, data, _ = small_run
+    deep = _write(tmp_path / "deep.json", "[" * 200_000)
+    capsys.readouterr()
+    rc = cli.main(["predict", "--model", deep, "--data", data, "--mode", "cf",
+                   "--out", str(tmp_path / "cf.csv")])
+    assert rc == 2
+    assert "deep.json" in capsys.readouterr().err
+
+
 def test_predict_dimension_mismatch_exits_2(small_run, tmp_path, capsys):
     _, dgp, _, _, model = small_run
     other = str(tmp_path / "wide.csv")

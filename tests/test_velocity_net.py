@@ -1,5 +1,8 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from causalflow import numkit as nk
 from causalflow import velocity_net as vn
@@ -136,8 +139,6 @@ def test_time_encoding_dimensions():
 
 
 def test_model_file_res_blocks_fixed_at_two(tmp_path):
-    import json
-
     path = tmp_path / "model.json"
     vn.save_model(vn.FlowModel(_net(), Scaler.identity(3), {}), path)
     doc = json.loads(path.read_text())
@@ -187,8 +188,6 @@ def test_model_file_save_is_deterministic(tmp_path):
 
 
 def test_model_file_version_and_tensor_errors(tmp_path):
-    import json
-
     model = vn.FlowModel(_net(), Scaler.identity(3), {})
     path = tmp_path / "model.json"
     vn.save_model(model, path)
@@ -297,14 +296,14 @@ def test_evaluator_matches_forward_batch_bitwise(time_encoding):
     (lambda d: d["params"]["proj_w"].pop("data"), "proj_w"),
     (lambda d: d["params"]["embed_b"].update(data=["x"] * 4), "embed_b"),
     (lambda d: d["params"]["proj_b"].update(data=[float("nan"), 0.0]), "proj_b"),
+    (lambda d: d["params"]["proj_b"].update(data=[10 ** 400, 0.0]), "proj_b"),
     (lambda d: d.update(scaler={"x_mean": [0.0]}), "scaler"),
     (lambda d: d["scaler"].update(x_sd=[1.0]), "scaler"),
     (lambda d: d["scaler"].update(x_mean=["a", "b", "c"]), "scaler"),
     (lambda d: d["scaler"].update(y_sd=0.0), "scaler"),
+    (lambda d: d["scaler"].update(y_sd=10 ** 400), "scaler"),
 ])
 def test_load_model_rejects_malformed_documents(tmp_path, edit, needle):
-    import json
-
     path = tmp_path / "model.json"
     vn.save_model(vn.FlowModel(_net(), Scaler.identity(3), {}), path)
     doc = json.loads(path.read_text())
@@ -312,3 +311,65 @@ def test_load_model_rejects_malformed_documents(tmp_path, edit, needle):
     path.write_text(json.dumps(doc))
     with pytest.raises(ConfigError, match=needle):
         vn.load_model(path)
+
+
+_JSON_LEAF = st.one_of(
+    st.sampled_from([None, True, 0, -1, 10 ** 400, float("nan"), float("inf"), "", [], {}]),
+    st.integers(), st.floats(), st.text(max_size=4))
+_JSON = st.recursive(_JSON_LEAF, lambda inner: st.one_of(
+    st.lists(inner, max_size=3), st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=6)
+
+
+@pytest.fixture(scope="module")
+def model_doc(tmp_path_factory):
+    path = tmp_path_factory.mktemp("model") / "model.json"
+    vn.save_model(vn.FlowModel(_net(d_x=2, hidden_dim=4),
+                               Scaler((0.5, -1.0), (1.5, 2.0), 3.0, 0.5), {"seed": 1}), path)
+    return path, path.read_bytes()
+
+
+def _paths(node, path=()):
+    """Every key path in a JSON document; a list's first element stands for all of them."""
+    yield path
+    if isinstance(node, dict):
+        for key, child in node.items():
+            yield from _paths(child, path + (key,))
+    elif isinstance(node, list) and node:
+        yield from _paths(node[0], path + (0,))
+
+
+def _mutated_json(data, raw: bytes) -> bytes:
+    """One key deleted or one value replaced, anywhere in the document."""
+    doc = json.loads(raw)
+    *head, key = data.draw(st.sampled_from(list(_paths(doc))[1:]))
+    parent = doc
+    for k in head:
+        parent = parent[k]
+    if isinstance(parent, dict) and data.draw(st.booleans()):
+        del parent[key]
+    else:
+        parent[key] = data.draw(_JSON)
+    return json.dumps(doc).encode()
+
+
+def _mutated_bytes(data, raw: bytes) -> bytes:
+    """A slice of the file replaced by arbitrary bytes, or arbitrary bytes alone."""
+    if data.draw(st.booleans()):
+        return data.draw(st.binary(max_size=64))
+    i = data.draw(st.integers(0, len(raw)))
+    j = data.draw(st.integers(i, min(len(raw), i + 16)))
+    return raw[:i] + data.draw(st.binary(max_size=8)) + raw[j:]
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_load_model_loads_or_raises_config_error(model_doc, data):
+    path, raw = model_doc
+    mutate = data.draw(st.sampled_from([_mutated_json, _mutated_bytes]))
+    bad = path.with_name("mutated.json")
+    bad.write_bytes(mutate(data, raw))
+    try:
+        vn.load_model(bad)
+    except ConfigError:
+        pass
