@@ -8,7 +8,6 @@ head onto the difference (noise - outcome) with Adam updates.
 
 from __future__ import annotations
 
-import time
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -53,7 +52,6 @@ class TrainReport:
     loss_history: list[tuple[int, float]]
     final_loss: float
     iters_run: int
-    wall_time_s: float
 
 
 def interpolant(y0, y1, t):
@@ -159,7 +157,6 @@ def train(ds: CausalDataset, net_cfg: NetConfig, train_cfg: TrainConfig
     state = _AdamState()
     rng = np.random.default_rng(train_cfg.seed)
     history: list[tuple[int, float]] = []
-    started = time.perf_counter()
     for it in range(1, train_cfg.max_iters + 1):
         idx = rng.integers(0, ds.n, size=train_cfg.batch_size)
         y1 = rng.standard_normal(train_cfg.batch_size)
@@ -172,6 +169,4 @@ def train(ds: CausalDataset, net_cfg: NetConfig, train_cfg: TrainConfig
         _adam_step(net.params, grads, state, train_cfg)
         if it == 1 or it % train_cfg.loss_log_every == 0:
             history.append((it, loss))
-    report = TrainReport(history, history[-1][1], train_cfg.max_iters,
-                         time.perf_counter() - started)
-    return net, report
+    return net, TrainReport(history, history[-1][1], train_cfg.max_iters)

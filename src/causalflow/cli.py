@@ -1,8 +1,8 @@
 """Command line front end: generate, train, predict, eval, a3test.
 
-Config files are flat key=value text (hash comments allowed). Every command
-that writes an artifact also writes <out>.manifest.json recording the
-command line, seeds, config paths, input/output digests and wall time; the
+Config files are flat key=value text (hash comments allowed). Once a command
+succeeds, main writes <out>.manifest.json recording the command line,
+seeds, config paths, input/output digests and wall time; the
 artifacts themselves are byte-reproducible, the manifest is not (it holds
 the wall time). Every file is written through scm_data.atomic_write, so a
 failed run leaves the previous file in place.
@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import sys
 import time
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from .cfm_train import TrainConfig, train
 from .errors import ConfigError, ContractError, NumericError
 from .ode_engine import OdeConfig
 from .scm_data import (DgpConfig, atomic_write, default_config, fmt_float,
-                       generate_ihdp_like, load_csv, standardize, write_csv)
+                       generate_ihdp_like, load_csv, standardize, write_csv, write_json)
 from .velocity_net import FlowModel, NetConfig, load_model, save_model
 
 
@@ -141,6 +141,16 @@ def net_config_from_file(path, d_x: int) -> NetConfig:
 
 # ---------------------------------------------------------------- manifests
 
+class Run(NamedTuple):
+    """What a command did: the summary line it prints and what its manifest records."""
+
+    summary: str
+    seeds: dict
+    inputs: list
+    outputs: list  # outputs[0] is --out, the file the manifest is named after
+    config_paths: dict = {}
+
+
 def _sha256(path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -149,40 +159,27 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
-def _write_json(doc: dict, path) -> None:
-    with atomic_write(path) as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-
-
-def write_manifest(out_path, command: str, argv: list[str], seeds: dict,
-                   config_paths: dict, inputs: list, outputs: list,
-                   wall_time_s: float) -> None:
-    doc = {
+def write_manifest(command: str, argv: list[str], run: Run, wall_time_s: float) -> None:
+    write_json({
         "command": command,
-        "argv": list(argv),
-        "config_paths": {k: str(v) for k, v in config_paths.items() if v},
-        "seeds": seeds,
-        "inputs": {str(p): _sha256(p) for p in inputs},
-        "outputs": {str(p): _sha256(p) for p in outputs},
+        "argv": argv,
+        "config_paths": {k: str(v) for k, v in run.config_paths.items() if v},
+        "seeds": run.seeds,
+        "inputs": {str(p): _sha256(p) for p in run.inputs},
+        "outputs": {str(p): _sha256(p) for p in run.outputs},
         "tool_version": __version__,
         "wall_time_s": wall_time_s,
-    }
-    _write_json(doc, str(out_path) + ".manifest.json")
+    }, f"{run.outputs[0]}.manifest.json")
 
 
 # ----------------------------------------------------------------- commands
 
-def cmd_generate(args, argv) -> int:
-    t0 = time.perf_counter()
+def cmd_generate(args) -> Run:
     cfg = dgp_config_from_file(args.config, args.seed)
     ds = generate_ihdp_like(cfg)
     write_csv(ds, args.out)
-    write_manifest(args.out, "generate", argv, {"dgp_seed": cfg.seed},
-                   {"config": args.config}, [], [args.out],
-                   time.perf_counter() - t0)
-    print(f"wrote {ds.n} rows (d_x={ds.d_x}) to {args.out}")
-    return 0
+    return Run(f"wrote {ds.n} rows (d_x={ds.d_x}) to {args.out}", {"dgp_seed": cfg.seed},
+               [], [args.out], {"config": args.config})
 
 
 def _loss_csv_path(model_path: str) -> str:
@@ -190,8 +187,7 @@ def _loss_csv_path(model_path: str) -> str:
     return stem + ".loss.csv"
 
 
-def cmd_train(args, argv) -> int:
-    t0 = time.perf_counter()
+def cmd_train(args) -> Run:
     ds = load_csv(args.data)
     train_cfg = train_config_from_file(args.train_config, args.seed)
     net_cfg = net_config_from_file(args.net_config, ds.d_x)
@@ -209,55 +205,35 @@ def cmd_train(args, argv) -> int:
         fh.write("iter,loss\n")
         for it, loss in report.loss_history:
             fh.write(f"{it},{fmt_float(loss)}\n")
-    write_manifest(args.out, "train", argv, {"train_seed": train_cfg.seed},
-                   {"train_config": args.train_config,
-                    "net_config": args.net_config},
-                   [args.data], [args.out, loss_path],
-                   time.perf_counter() - t0)
-    print(f"trained {report.iters_run} iters, final loss "
-          f"{report.final_loss:.6f}, model at {args.out}")
-    return 0
+    return Run(f"trained {report.iters_run} iters, final loss {report.final_loss:.6f}, "
+               f"model at {args.out}", {"train_seed": train_cfg.seed}, [args.data],
+               [args.out, loss_path],
+               {"train_config": args.train_config, "net_config": args.net_config})
 
 
-def cmd_predict(args, argv) -> int:
-    t0 = time.perf_counter()
+def cmd_predict(args) -> Run:
     model = load_model(args.model)
     ds = load_csv(args.data)
     ode_cfg = OdeConfig(n_steps=args.n_steps)
-    mode = args.mode
-    lines: list[str] = []
-    if mode == "po":
-        y, lp = api.sample_po_batch(model, ds.x, ds.a, args.n_samples,
-                                    ode_cfg, args.seed)
-        lines.append("row,mode,value,logp")
-        for i in range(ds.n):
-            for s in range(args.n_samples):
-                lines.append(f"{i},po,{fmt_float(y[i, s])},{fmt_float(lp[i, s])}")
+    mode, rows = args.mode, np.arange(ds.n)
+    if mode == "po":  # n_samples lines per row
+        cols = api.sample_po_batch(model, ds.x, ds.a, args.n_samples, ode_cfg, args.seed)
+        rows = np.repeat(rows, args.n_samples)
     elif mode == "cf":
-        y_cf = api.predict_counterfactual_batch(model, ds.y, ds.x, ds.a, ode_cfg)
-        lines.append("row,mode,value")
-        lines.extend(f"{i},cf,{fmt_float(v)}" for i, v in enumerate(y_cf))
+        cols = [api.predict_counterfactual_batch(model, ds.y, ds.x, ds.a, ode_cfg)]
     elif mode == "cate":
-        tau = api.estimate_cate(model, ds.x, ode_cfg)
-        lines.append("row,mode,value")
-        lines.extend(f"{i},cate,{fmt_float(v)}" for i, v in enumerate(tau))
+        cols = [api.estimate_cate(model, ds.x, ode_cfg)]
     elif mode == "map":
-        vals = api.map_po_batch(model, ds.x, ds.a, args.n_samples, ode_cfg,
-                                args.seed)
-        lines.append("row,mode,value")
-        lines.extend(f"{i},map,{fmt_float(v)}" for i, v in enumerate(vals))
+        cols = [api.map_po_batch(model, ds.x, ds.a, args.n_samples, ode_cfg, args.seed)]
     else:  # density
-        lp = api.log_density_batch(model, ds.y, ds.x, ds.a, ode_cfg)
-        lines.append("row,mode,value,logp")
-        lines.extend(f"{i},density,{fmt_float(ds.y[i])},{fmt_float(v)}"
-                     for i, v in enumerate(lp))
+        cols = [ds.y, api.log_density_batch(model, ds.y, ds.x, ds.a, ode_cfg)]
+    lines = ["row,mode,value" + ",logp" * (len(cols) - 1)]
+    lines += map(",".join, zip((f"{i},{mode}" for i in rows.tolist()),
+                               *(map(fmt_float, np.ravel(c).tolist()) for c in cols)))
     with atomic_write(args.out) as fh:
         fh.write("\n".join(lines) + "\n")
-    write_manifest(args.out, "predict", argv, {"seed": args.seed}, {},
-                   [args.model, args.data], [args.out],
-                   time.perf_counter() - t0)
-    print(f"wrote {len(lines) - 1} {mode} rows to {args.out}")
-    return 0
+    return Run(f"wrote {len(lines) - 1} {mode} rows to {args.out}", {"seed": args.seed},
+               [args.model, args.data], [args.out])
 
 
 def _eval_once(model, tr, te, args) -> dict:
@@ -266,16 +242,14 @@ def _eval_once(model, tr, te, args) -> dict:
                            noise_sd=args.noise_sd)
 
 
-def cmd_eval(args, argv) -> int:
-    t0 = time.perf_counter()
-    inputs: list[str] = []
+def cmd_eval(args) -> Run:
     if args.folds is not None:
         if args.folds < 2:
             raise ConfigError("k-fold needs at least 2 folds")
         if not args.data:
             raise ConfigError("--folds needs --data")
         ds = load_csv(args.data)
-        inputs.append(args.data)
+        inputs = [args.data]
         if ds.n < 2 * args.folds:
             raise ContractError(
                 f"{ds.n} rows cannot support {args.folds} folds")
@@ -303,30 +277,22 @@ def cmd_eval(args, argv) -> int:
                 "--train-data and --test-data")
         model = load_model(args.model)
         tr, te = load_csv(args.train_data), load_csv(args.test_data)
-        inputs += [args.model, args.train_data, args.test_data]
+        inputs = [args.model, args.train_data, args.test_data]
         doc = _eval_once(model, tr, te, args)
-    _write_json(doc, args.out)
-    write_manifest(args.out, "eval", argv, {"seed": args.seed},
-                   {"train_config": args.train_config,
-                    "net_config": args.net_config},
-                   inputs, [args.out], time.perf_counter() - t0)
-    print(f"wrote evaluation report to {args.out}")
-    return 0
+    write_json(doc, args.out)
+    return Run(f"wrote evaluation report to {args.out}", {"seed": args.seed}, inputs,
+               [args.out], {"train_config": args.train_config, "net_config": args.net_config})
 
 
-def cmd_a3test(args, argv) -> int:
-    t0 = time.perf_counter()
+def cmd_a3test(args) -> Run:
     model = load_model(args.model)
     ds = load_csv(args.data)
     res = mt.mmd_a3_test(model, ds, OdeConfig(n_steps=args.n_steps),
                          seed=args.seed, max_rows=args.max_rows)
-    _write_json(res, args.out)
-    write_manifest(args.out, "a3test", argv, {"seed": args.seed}, {},
-                   [args.model, args.data], [args.out],
-                   time.perf_counter() - t0)
-    print(f"mmd_model={res['mmd_model']:.6g} "
-          f"baseline={res['mmd_truth_baseline']:.6g} -> {args.out}")
-    return 0
+    write_json(res, args.out)
+    return Run(f"mmd_model={res['mmd_model']:.6g} "
+               f"baseline={res['mmd_truth_baseline']:.6g} -> {args.out}",
+               {"seed": args.seed}, [args.model, args.data], [args.out])
 
 
 # ------------------------------------------------------------------ wiring
@@ -402,10 +368,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command, then write its manifest, then print its summary line.
+
+    A failing command writes no manifest; its error goes to stderr and sets the exit code.
+    """
     argv = list(sys.argv[1:] if argv is None else argv)
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args, argv)
+        t0 = time.perf_counter()
+        run = args.fn(args)
+        write_manifest(args.command, argv, run, time.perf_counter() - t0)
+        print(run.summary)
     except (ConfigError, ContractError) as exc:  # SchemaError is a ConfigError
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -415,6 +388,7 @@ def main(argv: list[str] | None = None) -> int:
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 4
+    return 0
 
 
 def entry() -> None:

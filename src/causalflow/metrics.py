@@ -62,8 +62,8 @@ def kl_vs_gaussian_truth(model: FlowModel, x, a, mu, sd: float = 1.0,
     Samples y from the model per row and evaluates the log-ratio at the
     draws, so the estimate is unbiased for each row's KL term.
     """
-    if sd <= 0:
-        raise ContractError("sd must be positive")
+    if not 0.0 < sd < math.inf:
+        raise ContractError(f"sd must be finite and positive, got {sd}")
     if n_mc < 2:
         raise ContractError("n_mc must be >= 2")
     x = np.asarray(x, dtype=np.float64)
@@ -232,6 +232,8 @@ def evaluate_all(model: FlowModel, train_ds: CausalDataset,
     counterfactual, cate) in place of the flow model; the distributional
     metrics always come from the model.
     """
+    if not 0.0 < noise_sd < math.inf:
+        raise ContractError(f"noise_sd must be finite and positive, got {noise_sd}")
     splits = {"in": train_ds, "out": test_ds}
     per_split = {
         tag: _eval_split(model, ds, ode_cfg, seed, predictor, max_rows,

@@ -8,6 +8,7 @@ carries its exact counterfactual alongside the factual outcome.
 from __future__ import annotations
 
 import csv
+import json
 import os
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, replace
@@ -40,8 +41,12 @@ class DgpConfig:
             raise ContractError("n and d_x must be positive")
         if len(self.beta) != self.d_x or len(self.w_shift) != self.d_x:
             raise ContractError("beta and w_shift must have d_x entries")
-        if self.noise_sd < 0:
-            raise ContractError("noise_sd must be non-negative")
+        if not 0.0 <= self.noise_sd < np.inf:
+            raise ContractError(f"noise_sd must be finite and non-negative, got {self.noise_sd}")
+        for key in ("omega", "beta", "w_shift", "propensity_coef"):
+            value = getattr(self, key)
+            if value is not None and not np.all(np.isfinite(value)):
+                raise ContractError(f"{key} must be finite, got {value}")
         if self.seed < 0:
             raise ContractError(f"seed must be non-negative, got {self.seed}")
         if self.propensity not in ("balanced", "logistic"):
@@ -70,8 +75,6 @@ class CausalDataset:
     mu0: np.ndarray | None = None
     mu1: np.ndarray | None = None
     ycf: np.ndarray | None = None
-    name: str = ""
-    seed: int | None = None
 
     def __post_init__(self):
         self.x = np.asarray(self.x, dtype=np.float64)
@@ -101,11 +104,10 @@ class CausalDataset:
     def d_x(self) -> int:
         return self.x.shape[1]
 
-    def take(self, idx: np.ndarray, name: str = "") -> "CausalDataset":
+    def take(self, idx: np.ndarray) -> "CausalDataset":
         pick = lambda col: None if col is None else col[idx]
         return CausalDataset(self.x[idx], self.a[idx], self.y[idx],
-                             mu0=pick(self.mu0), mu1=pick(self.mu1), ycf=pick(self.ycf),
-                             name=name or self.name, seed=self.seed)
+                             mu0=pick(self.mu0), mu1=pick(self.mu1), ycf=pick(self.ycf))
 
 
 def structural_mean(cfg: DgpConfig, x: np.ndarray, a) -> np.ndarray:
@@ -138,8 +140,7 @@ def generate_ihdp_like(cfg: DgpConfig) -> CausalDataset:
     mu0 = structural_mean(cfg, x, 0)
     y = np.where(a == 1, mu1, mu0) + eps
     ycf = np.where(a == 1, mu0, mu1) + eps
-    return CausalDataset(x, a, y, mu0=mu0, mu1=mu1, ycf=ycf,
-                         name=f"synthetic-n{cfg.n}-d{cfg.d_x}", seed=cfg.seed)
+    return CausalDataset(x, a, y, mu0=mu0, mu1=mu1, ycf=ycf)
 
 
 def fmt_float(v: float) -> str:
@@ -160,6 +161,13 @@ def atomic_write(path):
     finally:
         with suppress(OSError):  # gone already after a successful replace
             os.remove(tmp)
+
+
+def write_json(doc, path) -> None:
+    """doc as JSON with sorted keys, one-space indent and a final newline, written atomically."""
+    with atomic_write(path) as fh:
+        json.dump(doc, fh, indent=1, sort_keys=True)
+        fh.write("\n")
 
 
 def write_csv(ds: CausalDataset, path) -> None:
@@ -232,7 +240,7 @@ def load_csv(path) -> CausalDataset:
         r, j = bad[0]
         raise SchemaError(f"{path}: row {r + 1}, column {names[j]!r}: "
                           f"non-finite value {rows[r][idx[names[j]]]!r}")
-    return CausalDataset(x, a, y, name=str(path), **extras)
+    return CausalDataset(x, a, y, **extras)
 
 
 def split(ds: CausalDataset, test_fraction: float, seed: int) -> tuple[CausalDataset, CausalDataset]:
@@ -245,7 +253,7 @@ def split(ds: CausalDataset, test_fraction: float, seed: int) -> tuple[CausalDat
     perm = np.random.default_rng(seed).permutation(ds.n)
     test_idx = np.sort(perm[:n_test])
     train_idx = np.sort(perm[n_test:])
-    return ds.take(train_idx, name=ds.name + "/train"), ds.take(test_idx, name=ds.name + "/test")
+    return ds.take(train_idx), ds.take(test_idx)
 
 
 @dataclass(frozen=True)
@@ -299,8 +307,7 @@ def standardize(ds: CausalDataset) -> tuple[CausalDataset, Scaler]:
         scaler.transform_x(ds.x), ds.a.copy(), scaler.transform_y(ds.y),
         mu0=None if ds.mu0 is None else scaler.transform_y(ds.mu0),
         mu1=None if ds.mu1 is None else scaler.transform_y(ds.mu1),
-        ycf=None if ds.ycf is None else scaler.transform_y(ds.ycf),
-        name=ds.name, seed=ds.seed)
+        ycf=None if ds.ycf is None else scaler.transform_y(ds.ycf))
     return out, scaler
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ConfigError, ContractError, DimensionError
 from .numkit import sigmoid_kernel
-from .scm_data import Scaler, atomic_write
+from .scm_data import Scaler, write_json
 
 MODEL_FORMAT_VERSION = 1
 _T_TOL = 1e-9
@@ -348,9 +348,7 @@ def save_model(model: FlowModel, path) -> None:
         "scaler": model.scaler.to_dict(),
         "train_meta": model.train_meta,
     }
-    with atomic_write(path) as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    write_json(doc, path)
 
 
 def load_model(path) -> FlowModel:
@@ -392,7 +390,7 @@ def load_model(path) -> FlowModel:
             raise ConfigError(f"{path}: tensor {name!r} holds non-finite values")
         params[name] = data.reshape(rows, cols)
     try:
-        scaler = Scaler.from_dict(doc["scaler"]) if doc.get("scaler") else Scaler.identity(cfg.d_x)
+        scaler = Scaler.from_dict(doc["scaler"]) if "scaler" in doc else Scaler.identity(cfg.d_x)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{path}: scaler is malformed: {exc!r}") from None
     if not len(scaler.x_mean) == len(scaler.x_sd) == cfg.d_x:

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,7 +11,7 @@ import pytest
 from helpers import linear_net
 from hypothesis import given, settings, strategies as st
 
-from causalflow import cli
+from causalflow import __version__, cli
 from causalflow import causal_api as api
 from causalflow.errors import ConfigError, ContractError
 from causalflow.ode_engine import OdeConfig
@@ -335,16 +337,6 @@ def test_train_on_bad_treatment_cell_exits_2(small_run, tmp_path, capsys):
     assert "row 2: treatment must be 0 or 1" in capsys.readouterr().err
 
 
-def test_write_json_failing_halfway_keeps_previous_file(tmp_path):
-    path = tmp_path / "report.json"
-    cli._write_json({"a": 1}, path)
-    before = path.read_bytes()
-    with pytest.raises(TypeError):
-        cli._write_json({"a": 2, "b": object()}, path)
-    assert path.read_bytes() == before
-    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
-
-
 def test_eval_with_one_fold_exits_2(small_run, tmp_path, capsys):
     _, _, tr, data, _ = small_run
     capsys.readouterr()
@@ -397,7 +389,29 @@ _EXIT_2_CASES = {
     "predict-n-samples-past-numpy-limit": ({}, "predict --model {model} --data {data} --mode po "
                                                "--out {d}/p.csv --n-samples 10000000000000000000",
                                            "n_samples"),
+    "model-scaler-null": ({"null.json": lambda model: _edited_model(model, scaler=None)},
+                          "predict --model {d}/null.json --data {data} --mode cf --out {d}/p.csv",
+                          "null.json: scaler is malformed"),
+    "generator-noise-sd-nan": ({"dgp.cfg": b"n = 5\nnoise_sd = nan\n"},
+                               "generate --config {d}/dgp.cfg --out {d}/g.csv",
+                               "dgp.cfg: noise_sd must be finite"),
+    "generator-noise-sd-inf": ({"dgp.cfg": b"n = 5\nnoise_sd = inf\n"},
+                               "generate --config {d}/dgp.cfg --out {d}/g.csv",
+                               "dgp.cfg: noise_sd must be finite"),
+    "generator-omega-nan": ({"dgp.cfg": b"n = 5\nomega = nan\n"},
+                            "generate --config {d}/dgp.cfg --out {d}/g.csv",
+                            "dgp.cfg: omega must be finite"),
+    "eval-noise-sd-nan": ({}, "eval --model {model} --train-data {data} --test-data {data} "
+                              "--out {d}/e.json --noise-sd nan", "noise_sd must be finite"),
+    "eval-noise-sd-inf": ({}, "eval --model {model} --train-data {data} --test-data {data} "
+                              "--out {d}/e.json --noise-sd inf", "noise_sd must be finite"),
 }
+
+
+def _edited_model(model, **edit) -> bytes:
+    doc = json.loads(Path(model).read_text(encoding="utf-8"))
+    doc.update(edit)
+    return json.dumps(doc).encode()
 
 
 @pytest.mark.parametrize("case", sorted(_EXIT_2_CASES))
@@ -407,11 +421,75 @@ def test_bad_input_exits_2_naming_the_file_or_flag(small_run, tmp_path, capsys, 
     d = tmp_path / "bad"
     d.mkdir()
     for name, raw in files.items():
-        (d / name).write_bytes(raw)
+        (d / name).write_bytes(raw(model) if callable(raw) else raw)
     capsys.readouterr()
     rc = _exit_code([arg.format(d=d, data=data, model=model) for arg in argv.split()])
     assert rc == 2
-    assert needle in capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert needle in err
+    assert out == "" and not list(d.glob("*.manifest.json"))
+
+
+# command: (argv, {manifest key: expected value}, where "{...}" fields name the run's paths)
+_COMMANDS = {
+    "generate": ("generate --config {dgp} --out {d}/g.csv",
+                 {"seeds": {"dgp_seed": 4}, "config_paths": {"config": "{dgp}"}, "inputs": [],
+                  "outputs": ["{d}/g.csv"]}),
+    "train": ("train --data {data} --out {d}/m.json --train-config {tr} --seed 2",
+              {"seeds": {"train_seed": 2}, "config_paths": {"train_config": "{tr}"},
+               "inputs": ["{data}"], "outputs": ["{d}/m.json", "{d}/m.loss.csv"]}),
+    "predict": ("predict --model {model} --data {data} --mode po --out {d}/p.csv "
+                "--n-samples 2 --n-steps 4 --seed 3",
+                {"seeds": {"seed": 3}, "config_paths": {}, "inputs": ["{model}", "{data}"],
+                 "outputs": ["{d}/p.csv"]}),
+    "eval": ("eval --data {data} --folds 2 --train-config {tr} --out {d}/e.json "
+             "--n-steps 4 --max-rows 6",
+             {"seeds": {"seed": 0}, "config_paths": {"train_config": "{tr}"},
+              "inputs": ["{data}"], "outputs": ["{d}/e.json"]}),
+    "a3test": ("a3test --model {model} --data {data} --out {d}/a.json --n-steps 4",
+               {"seeds": {"seed": 0}, "config_paths": {}, "inputs": ["{model}", "{data}"],
+                "outputs": ["{d}/a.json"]}),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
+def test_main_writes_the_manifest_then_prints_the_summary(small_run, tmp_path, capsys, command):
+    _, dgp, tr, data, model = small_run
+    d = tmp_path / "run"
+    d.mkdir()
+    paths = dict(d=d, dgp=dgp, tr=tr, data=data, model=model)
+    template, want = _COMMANDS[command]
+    argv = [arg.format(**paths) for arg in template.split()]
+    capsys.readouterr()
+    assert cli.main(argv) == 0
+    out = argv[argv.index("--out") + 1]
+    man = json.loads(Path(f"{out}.manifest.json").read_text(encoding="utf-8"))
+    assert set(man) == {"command", "argv", "seeds", "config_paths", "inputs", "outputs",
+                        "tool_version", "wall_time_s"}
+    assert man["command"] == command and man["argv"] == argv
+    assert man["tool_version"] == __version__
+    assert math.isfinite(man["wall_time_s"]) and man["wall_time_s"] >= 0.0
+    assert man["seeds"] == want["seeds"]
+    assert man["config_paths"] == {k: v.format(**paths) for k, v in want["config_paths"].items()}
+    for key in ("inputs", "outputs"):
+        assert sorted(man[key]) == sorted(p.format(**paths) for p in want[key])
+        for path, digest in man[key].items():
+            assert digest == hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    summary = capsys.readouterr().out
+    assert summary.count("\n") == 1 and out in summary
+
+
+def test_failed_manifest_write_exits_3_and_prints_no_summary(small_run, tmp_path, capsys):
+    _, _, _, data, model = small_run
+    out = tmp_path / "a.json"
+    (tmp_path / "a.json.manifest.json").mkdir()  # os.replace cannot put a file there
+    capsys.readouterr()
+    rc = cli.main(["a3test", "--model", model, "--data", data, "--out", str(out),
+                   "--n-steps", "4"])
+    assert rc == 3
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and err.startswith("io error:")
+    assert out.exists()
 
 
 def test_bare_value_error_in_a_command_is_not_a_user_error(tmp_path, monkeypatch):

@@ -98,8 +98,9 @@ def test_kl_variance_mismatch():
 
 def test_kl_validation():
     m = _model(2)
-    with pytest.raises(ContractError):
-        mt.kl_vs_gaussian_truth(m, np.zeros((2, 2)), 1, [0.0, 0.0], sd=0.0)
+    for sd in (0.0, np.nan, np.inf):
+        with pytest.raises(ContractError, match="sd must be finite and positive"):
+            mt.kl_vs_gaussian_truth(m, np.zeros((2, 2)), 1, [0.0, 0.0], sd=sd)
     with pytest.raises(ContractError):
         mt.kl_vs_gaussian_truth(m, np.zeros((2, 2)), 1, [0.0, 0.0], n_mc=1)
     with pytest.raises(DimensionError):

@@ -71,6 +71,11 @@ def test_config_validation():
                      propensity="logistic")
     with pytest.raises(ContractError, match="seed"):
         _cfg(seed=-1)
+    for key, value in (("noise_sd", np.nan), ("noise_sd", np.inf), ("noise_sd", -1.0),
+                       ("omega", np.nan), ("omega", -np.inf), ("beta", (0.0, np.inf, 0.0, 0.0)),
+                       ("w_shift", (np.nan,) * 4), ("propensity_coef", (0.0, 0.0, np.nan, 0.0))):
+        with pytest.raises(ContractError, match=key):
+            _cfg(**{"propensity": "logistic", "propensity_coef": (0.0,) * 4, key: value})
 
 
 def test_truth_columns_match_hand_formula():
@@ -183,6 +188,16 @@ def test_write_csv_failing_halfway_keeps_previous_file(tmp_path, monkeypatch):
         sd.write_csv(sd.generate_ihdp_like(_cfg(n=30, seed=3)), path)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["data.csv"]
+
+
+def test_write_json_failing_halfway_keeps_previous_file(tmp_path):
+    path = tmp_path / "report.json"
+    sd.write_json({"a": 1}, path)
+    before = path.read_bytes()
+    with pytest.raises(TypeError):
+        sd.write_json({"a": 2, "b": object()}, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
 
 
 def test_split_sizes_and_partition():

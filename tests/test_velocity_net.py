@@ -165,6 +165,10 @@ def test_model_file_round_trip(tmp_path):
         np.testing.assert_array_equal(back.net.params[name], t)
     assert back.scaler == scaler
     assert back.train_meta == {"seed": 7, "iters": 12}
+    doc = json.loads(path.read_text())
+    del doc["scaler"]
+    path.write_text(json.dumps(doc))
+    assert vn.load_model(path).scaler == Scaler.identity(4)
 
 
 def test_save_model_failing_halfway_keeps_previous_file(tmp_path):
@@ -302,6 +306,11 @@ def test_evaluator_matches_forward_batch_bitwise(time_encoding):
     (lambda d: d["scaler"].update(x_mean=["a", "b", "c"]), "scaler"),
     (lambda d: d["scaler"].update(y_sd=0.0), "scaler"),
     (lambda d: d["scaler"].update(y_sd=10 ** 400), "scaler"),
+    (lambda d: d.update(scaler=None), "scaler"),
+    (lambda d: d.update(scaler={}), "scaler"),
+    (lambda d: d.update(scaler=[]), "scaler"),
+    (lambda d: d.update(scaler=0), "scaler"),
+    (lambda d: d.update(scaler=""), "scaler"),
 ])
 def test_load_model_rejects_malformed_documents(tmp_path, edit, needle):
     path = tmp_path / "model.json"
