@@ -17,9 +17,10 @@ from . import ode_engine as oe
 from .errors import ContractError, DimensionError
 from .velocity_net import FlowModel
 
-N_SAMPLES = 100  # draws per row for po and map
+N_SAMPLES = 100  # draws per row for po
 _z, _w = np.polynomial.hermite_e.hermegauss(16)
 GAUSS_HERMITE = (_z, _w / _w.sum())  # nodes and weights of E[f(z)], z ~ N(0, 1)
+MAP_GRID = np.linspace(-3.0, 3.0, 33)  # base-noise candidates of map_po_batch
 
 
 def _check_x(model: FlowModel, x) -> np.ndarray:
@@ -58,9 +59,29 @@ def _noise(seed: int, n: int, n_samples: int) -> np.ndarray:
     return z
 
 
-def map_estimate(y: np.ndarray, log_p: np.ndarray) -> np.ndarray:
-    """Per row, the draw of highest density; ties resolve to the lowest index."""
-    return y[np.arange(y.shape[0]), np.argmax(log_p, axis=1)]
+def decode_nodes(model: FlowModel, x, a, z, ode_cfg: oe.OdeConfig = oe.OdeConfig(),
+                 log_p: bool = False):
+    """Decode base-noise nodes z for each covariate row, in original units.
+
+    z is (k,), shared by all rows, or (n, k), one set per row. Returns y
+    shaped (n, k), or (y, log p) when log_p is set.
+    """
+    x = _check_x(model, x)
+    n, k = x.shape[0], np.shape(z)[-1]
+    a = _check_a(a, n)
+    try:
+        zs = np.broadcast_to(z, (n, k)).reshape(-1)
+    except ValueError:
+        raise DimensionError(
+            f"nodes have shape {np.shape(z)}, expected ({k},) or ({n}, {k})") from None
+    big_x = np.repeat(model.scaler.transform_x(x), k, axis=0)
+    big_a = np.repeat(a, k)
+    if not log_p:
+        y_std = oe.decode_batch(model.net, zs, big_x, big_a, ode_cfg)
+        return model.scaler.inverse_y(y_std).reshape(n, k)
+    y_std, logp_std = oe.decode_with_logdensity_batch(model.net, zs, big_x, big_a, ode_cfg)
+    return (model.scaler.inverse_y(y_std).reshape(n, k),
+            (logp_std - math.log(model.scaler.y_sd)).reshape(n, k))
 
 
 @dataclass
@@ -81,17 +102,7 @@ def sample_po_batch(model: FlowModel, x, a, n_samples: int = N_SAMPLES,
     Returns (y, log_p), both shaped (n_rows, n_samples), in original units.
     """
     x = _check_x(model, x)
-    n = x.shape[0]
-    a = _check_a(a, n)
-    z = _noise(seed, n, n_samples)
-    x_std = model.scaler.transform_x(x)
-    big_x = np.repeat(x_std, n_samples, axis=0)
-    big_a = np.repeat(a, n_samples)
-    y_std, logp_std = oe.decode_with_logdensity_batch(
-        model.net, z.reshape(-1), big_x, big_a, ode_cfg)
-    y = model.scaler.inverse_y(y_std).reshape(n, n_samples)
-    log_p = (logp_std - math.log(model.scaler.y_sd)).reshape(n, n_samples)
-    return y, log_p
+    return decode_nodes(model, x, a, _noise(seed, x.shape[0], n_samples), ode_cfg, log_p=True)
 
 
 def sample_po(model: FlowModel, x, a: int, n_samples: int = N_SAMPLES,
@@ -129,17 +140,14 @@ def estimate_cate(model: FlowModel, x, ode_cfg: oe.OdeConfig = oe.OdeConfig()) -
     x = _check_x(model, x)
     n = x.shape[0]
     z, w = GAUSS_HERMITE
-    big_x = np.repeat(model.scaler.transform_x(x), z.size, axis=0)
-    y = oe.decode_batch(model.net, np.tile(z, 2 * n), np.concatenate([big_x, big_x]),
-                        np.repeat([1, 0], n * z.size), ode_cfg)
-    y = model.scaler.inverse_y(y).reshape(2, n, z.size)
-    return (y[0] - y[1]) @ w
+    y = decode_nodes(model, np.concatenate([x, x]), np.repeat([1, 0], n), z, ode_cfg)
+    return (y[:n] - y[n:]) @ w
 
 
-def map_po_batch(model: FlowModel, x, a, n_samples: int = N_SAMPLES,
-                 ode_cfg: oe.OdeConfig = oe.OdeConfig(), seed: int = 0) -> np.ndarray:
-    """Highest-density sample per row (argmax over drawn candidates)."""
-    return map_estimate(*sample_po_batch(model, x, a, n_samples, ode_cfg, seed))
+def map_po_batch(model: FlowModel, x, a, ode_cfg: oe.OdeConfig = oe.OdeConfig()) -> np.ndarray:
+    """Per row, the decode of the MAP_GRID node of highest density; ties take the lower node."""
+    y, log_p = decode_nodes(model, x, a, MAP_GRID, ode_cfg, log_p=True)
+    return y[np.arange(y.shape[0]), np.argmax(log_p, axis=1)]
 
 
 def log_density_batch(model: FlowModel, ys, x, a,

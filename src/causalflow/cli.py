@@ -224,7 +224,7 @@ def cmd_predict(args) -> Run:
     elif mode == "cate":
         cols = [api.estimate_cate(model, ds.x, ode_cfg)]
     elif mode == "map":
-        cols = [api.map_po_batch(model, ds.x, ds.a, args.n_samples, ode_cfg, args.seed)]
+        cols = [api.map_po_batch(model, ds.x, ds.a, ode_cfg)]
     else:  # density
         cols = [ds.y, api.log_density_batch(model, ds.y, ds.x, ds.a, ode_cfg)]
     lines = ["row,mode,value" + ",logp" * (len(cols) - 1)]
@@ -334,11 +334,11 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--mode", required=True,
                     choices=["po", "cf", "cate", "map", "density"])
     pr.add_argument("--out", required=True)
-    pr.add_argument("--n-samples", type=int, default=api.N_SAMPLES,
-                    help="draws per row for po and map")
-    pr.add_argument("--n-steps", type=int, default=OdeConfig.n_steps)
+    pr.add_argument("--n-samples", type=_int_at_least(1), default=api.N_SAMPLES,
+                    help="draws per row for po")
+    pr.add_argument("--n-steps", type=_int_at_least(1), default=OdeConfig.n_steps)
     pr.add_argument("--seed", type=_int_at_least(0), default=0,
-                    help="noise seed for po and map")
+                    help="noise seed for po")
     pr.set_defaults(fn=cmd_predict)
 
     e = sub.add_parser("eval", help="metric report for a model or k folds")
@@ -351,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--net-config")
     e.add_argument("--out", required=True)
     e.add_argument("--seed", type=_int_at_least(0), default=0)
-    e.add_argument("--n-steps", type=int, default=OdeConfig.n_steps)
+    e.add_argument("--n-steps", type=_int_at_least(1), default=OdeConfig.n_steps)
     e.add_argument("--max-rows", type=_int_at_least(1), default=mt.MAX_ROWS)
     e.add_argument("--noise-sd", type=float, default=1.0)
     e.set_defaults(fn=cmd_eval)
@@ -361,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     a3.add_argument("--data", required=True)
     a3.add_argument("--out", required=True)
     a3.add_argument("--seed", type=_int_at_least(0), default=0)
-    a3.add_argument("--n-steps", type=int, default=OdeConfig.n_steps)
+    a3.add_argument("--n-steps", type=_int_at_least(1), default=OdeConfig.n_steps)
     a3.add_argument("--max-rows", type=_int_at_least(1), default=mt.MAX_ROWS)
     a3.set_defaults(fn=cmd_a3test)
     return p

@@ -9,6 +9,7 @@ that the available truth columns permit, on train and test splits.
 from __future__ import annotations
 
 import math
+from statistics import NormalDist
 
 import numpy as np
 
@@ -19,6 +20,8 @@ from .scm_data import CausalDataset
 from .velocity_net import FlowModel
 
 MAX_ROWS = 128  # rows per split that evaluate_all and mmd_a3_test use
+# Phi^-1((k + 1/2) / 16): the standard normal quantiles at the middles of 16 equal-mass bins
+QUANTILE_NODES = np.array([NormalDist().inv_cdf((k + 0.5) / 16) for k in range(16)])
 
 
 def rmse(pred, truth) -> float:
@@ -54,31 +57,27 @@ def wasserstein1(u, v) -> float:
     return float(np.sum(np.abs(cdf_u - cdf_v) * np.diff(grid)))
 
 
-def kl_vs_gaussian_truth(model: FlowModel, x, a, mu, sd: float = 1.0,
-                         n_mc: int = 256, ode_cfg: oe.OdeConfig = oe.OdeConfig(),
-                         seed: int = 0) -> tuple[float, float]:
-    """Monte Carlo KL(model || N(mu_i, sd^2)), averaged over rows, and its standard error.
+def _gh_kl(y: np.ndarray, log_p: np.ndarray, mu: np.ndarray, sd: float) -> float:
+    """Row mean of KL(model || N(mu_i, sd^2)) from (n, 16) decodes at the GAUSS_HERMITE nodes."""
+    log_truth = -0.5 * oe.LOG_2PI - math.log(sd) - 0.5 * ((y - mu[:, None]) / sd) ** 2
+    return float(np.mean((log_p - log_truth) @ api.GAUSS_HERMITE[1]))
 
-    Samples y from the model per row and evaluates the log-ratio at the
-    draws, so the estimate is unbiased for each row's KL term.
+
+def kl_vs_gaussian_truth(model: FlowModel, x, a, mu, sd: float = 1.0,
+                         ode_cfg: oe.OdeConfig = oe.OdeConfig()) -> float:
+    """KL(model || N(mu_i, sd^2)), averaged over rows.
+
+    Each row's KL is E_z[log p(y(z)) - log N(y(z); mu_i, sd^2)] over the
+    base noise z ~ N(0, 1), by 16-node Gauss-Hermite quadrature.
     """
     if not 0.0 < sd < math.inf:
         raise ContractError(f"sd must be finite and positive, got {sd}")
-    if n_mc < 2:
-        raise ContractError("n_mc must be >= 2")
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        x = x.reshape(1, -1)
+    x = api._check_x(model, x)
     mu = np.asarray(mu, dtype=np.float64).reshape(-1)
     if mu.shape[0] != x.shape[0]:
         raise DimensionError(f"{mu.shape[0]} means for {x.shape[0]} rows")
-    y, logp = api.sample_po_batch(model, x, a, n_mc, ode_cfg, seed)
-    log_truth = -0.5 * oe.LOG_2PI - math.log(sd) \
-        - 0.5 * ((y - mu[:, None]) / sd) ** 2
-    diff = logp - log_truth
-    est = float(np.mean(np.mean(diff, axis=1)))
-    se = float(np.sqrt(np.sum(np.var(diff, axis=1, ddof=1) / n_mc)) / mu.shape[0])
-    return est, se
+    y, log_p = api.decode_nodes(model, x, a, api.GAUSS_HERMITE[0], ode_cfg, log_p=True)
+    return _gh_kl(y, log_p, mu, sd)
 
 
 def _sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -161,17 +160,17 @@ def mmd_a3_test(model: FlowModel, ds: CausalDataset,
 
 
 def _eval_split(model: FlowModel, ds: CausalDataset, ode_cfg, seed: int,
-                predictor, max_rows: int, kl_rows: int, kl_mc: int,
-                n_samples: int, w1_samples: int, noise_sd: float) -> dict:
+                predictor, max_rows: int, noise_sd: float) -> dict:
     n = min(ds.n, max_rows)
     sub = ds.take(np.arange(n))
     x, a, y = sub.x, sub.a, sub.y
     out: dict[str, float] = {}
 
-    y_samp, logp_samp = api.sample_po_batch(model, x, a, n_samples, ode_cfg, seed)
+    z, w = api.GAUSS_HERMITE
+    y_gh, logp_gh = api.decode_nodes(model, x, a, z, ode_cfg, log_p=True)
     if predictor is None:
-        pred_f = np.mean(y_samp, axis=1)
-        pred_map = api.map_estimate(y_samp, logp_samp)
+        pred_f = y_gh @ w
+        pred_map = api.map_po_batch(model, x, a, ode_cfg)
     else:
         pred_f = np.asarray(predictor.factual(x, a), dtype=np.float64)
         pred_map = pred_f
@@ -195,22 +194,13 @@ def _eval_split(model: FlowModel, ds: CausalDataset, ode_cfg, seed: int,
             pred_tau = np.asarray(predictor.cate(x), dtype=np.float64)
         out["pehe"] = pehe(pred_tau, tau)
 
-        m = min(n, kl_rows)
-        mu_fact = np.where(a[:m] == 1, sub.mu1[:m], sub.mu0[:m])
-        kl, kl_se = kl_vs_gaussian_truth(model, x[:m], a[:m], mu_fact,
-                                         sd=noise_sd, n_mc=kl_mc,
-                                         ode_cfg=ode_cfg, seed=seed)
-        out["kl"] = kl
-        out["kl_se"] = kl_se
+        mu_fact = np.where(a == 1, sub.mu1, sub.mu0)
+        out["kl"] = _gh_kl(y_gh, logp_gh, mu_fact, noise_sd)
 
-        w1_rng = np.random.default_rng([seed, 777])
         for arm, mu_arm in ((0, sub.mu0), (1, sub.mu1)):
-            samp, _ = api.sample_po_batch(model, x, arm, w1_samples,
-                                          ode_cfg, seed + arm + 1)
-            truth = mu_arm[:, None] + noise_sd * w1_rng.standard_normal(
-                (n, w1_samples))
-            out[f"w1_arm{arm}"] = wasserstein1(samp.reshape(-1),
-                                               truth.reshape(-1))
+            model_q = api.decode_nodes(model, x, arm, QUANTILE_NODES, ode_cfg)
+            truth_q = mu_arm[:, None] + noise_sd * QUANTILE_NODES
+            out[f"w1_arm{arm}"] = wasserstein1(model_q.reshape(-1), truth_q.reshape(-1))
 
     mmd = mmd_a3_test(model, sub, ode_cfg, seed, max_rows)
     out["mmd_model"] = mmd["mmd_model"]
@@ -221,8 +211,7 @@ def _eval_split(model: FlowModel, ds: CausalDataset, ode_cfg, seed: int,
 def evaluate_all(model: FlowModel, train_ds: CausalDataset,
                  test_ds: CausalDataset, ode_cfg: oe.OdeConfig = oe.OdeConfig(),
                  seed: int = 0, predictor=None, max_rows: int = MAX_ROWS,
-                 kl_rows: int = 64, kl_mc: int = 256, n_samples: int = 64,
-                 w1_samples: int = 16, noise_sd: float = 1.0) -> dict:
+                 noise_sd: float = 1.0) -> dict:
     """Run every metric the truth columns allow, on both splits.
 
     Returns {"metrics": {name: {"in": train value, "out": test value}},
@@ -230,14 +219,14 @@ def evaluate_all(model: FlowModel, train_ds: CausalDataset,
 
     predictor, when given, supplies the point predictions (factual,
     counterfactual, cate) in place of the flow model; the distributional
-    metrics always come from the model.
+    metrics always come from the model. Every metric but the MMD pair is a
+    decode at fixed noise nodes, so seed reaches only the MMD draws.
     """
     if not 0.0 < noise_sd < math.inf:
         raise ContractError(f"noise_sd must be finite and positive, got {noise_sd}")
     splits = {"in": train_ds, "out": test_ds}
     per_split = {
-        tag: _eval_split(model, ds, ode_cfg, seed, predictor, max_rows,
-                         kl_rows, kl_mc, n_samples, w1_samples, noise_sd)
+        tag: _eval_split(model, ds, ode_cfg, seed, predictor, max_rows, noise_sd)
         for tag, ds in splits.items()
     }
     names = sorted(set(per_split["in"]) | set(per_split["out"]))
@@ -249,10 +238,6 @@ def evaluate_all(model: FlowModel, train_ds: CausalDataset,
     meta = {
         "rows_in": min(train_ds.n, max_rows),
         "rows_out": min(test_ds.n, max_rows),
-        "kl_rows": kl_rows,
-        "kl_mc": kl_mc,
-        "n_samples": n_samples,
-        "w1_samples": w1_samples,
         "noise_sd": noise_sd,
         "seed": seed,
         "n_steps": ode_cfg.n_steps,

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ContractError, FitError, GenerationError, SchemaError
+from .errors import ContractError, FitError, GenerationError, NumericError, SchemaError
 from .numkit import sigmoid_kernel
 
 PROPENSITY_CLIP = (0.01, 0.99)
@@ -164,10 +164,16 @@ def atomic_write(path):
 
 
 def write_json(doc, path) -> None:
-    """doc as JSON with sorted keys, one-space indent and a final newline, written atomically."""
-    with atomic_write(path) as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    """doc as JSON with sorted keys, one-space indent and a final newline, written atomically.
+
+    A nan or inf, which JSON cannot hold, raises NumericError and leaves path as it was.
+    """
+    try:
+        with atomic_write(path) as fh:
+            json.dump(doc, fh, indent=1, sort_keys=True, allow_nan=False)
+            fh.write("\n")
+    except ValueError as exc:
+        raise NumericError(f"{path}: {exc}") from None
 
 
 def write_csv(ds: CausalDataset, path) -> None:

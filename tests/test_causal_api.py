@@ -20,8 +20,9 @@ def _model(net, scaler=None):
 _A_ENTRY_POINTS = {
     "sample_po": lambda m, a: api.sample_po(m, [0.1, 0.2], a, n_samples=3),
     "sample_po_batch": lambda m, a: api.sample_po_batch(m, np.zeros((2, 2)), a, 3),
-    "map_po": lambda m, a: api.map_po_batch(m, [0.1, 0.2], a, n_samples=3),
-    "map_po_batch": lambda m, a: api.map_po_batch(m, np.zeros((2, 2)), a, 3),
+    "map_po": lambda m, a: api.map_po_batch(m, [0.1, 0.2], a),
+    "map_po_batch": lambda m, a: api.map_po_batch(m, np.zeros((2, 2)), a),
+    "decode_nodes": lambda m, a: api.decode_nodes(m, np.zeros((2, 2)), a, [-1.0, 0.5]),
     "predict_counterfactual": lambda m, a: api.predict_counterfactual(m, 0.4, [0.1, 0.2], a),
     "predict_counterfactual_batch":
         lambda m, a: api.predict_counterfactual_batch(m, [0.4, 0.5], np.zeros((2, 2)), a),
@@ -129,18 +130,36 @@ def test_cate_of_a_row_ignores_its_batch():
         np.testing.assert_allclose(alone, batch[i:i + 1], rtol=1e-12, atol=0)
 
 
-def test_map_po_zero_field_picks_smallest_magnitude_sample():
-    m = _model(linear_net(d_x=2))
-    ps = api.sample_po(m, [0.0, 0.0], a=0, n_samples=40, seed=11)
-    want = ps.y[np.argmin(np.abs(ps.y))]
-    assert api.map_po_batch(m, [0.0, 0.0], 0, n_samples=40, seed=11)[0] == want
-    assert api.map_estimate(ps.y[None], ps.log_p[None])[0] == want
+def test_map_po_zero_field_picks_the_node_at_zero():
+    sc = Scaler((0.0, 0.0), (1.0, 1.0), y_mean=2.0, y_sd=3.0)
+    m = _model(linear_net(d_x=2), sc)
+    assert api.MAP_GRID[16] == 0.0
+    np.testing.assert_array_equal(api.map_po_batch(m, np.zeros((3, 2)), [0, 1, 0]),
+                                  np.full(3, 2.0))
 
 
-def test_map_po_single_sample_is_that_sample():
-    m = _model(vn.init(vn.NetConfig(d_x=2, init_seed=8)))
-    ps = api.sample_po(m, [0.1, 0.2], a=1, n_samples=1, seed=5)
-    assert api.map_po_batch(m, [0.1, 0.2], 1, n_samples=1, seed=5)[0] == ps.y[0]
+def test_map_po_constant_drift_shifts_the_mode():
+    # v = 0.5 decodes z to z - 0.5 with unit Jacobian: the mode sits at z = 0
+    sc = Scaler((0.0, 0.0), (1.0, 1.0), y_mean=1.0, y_sd=2.0)
+    m = _model(linear_net(d_x=2, intercept=0.5), sc)
+    np.testing.assert_array_equal(api.map_po_batch(m, [0.3, -0.2], 1), [1.0 + 2.0 * -0.5])
+
+
+def test_decode_nodes_shared_or_per_row_nodes():
+    sc = Scaler((0.2, -0.1), (1.3, 0.7), y_mean=0.4, y_sd=2.5)
+    m = _model(vn.init(vn.NetConfig(d_x=2, init_seed=5)), sc)
+    x = np.random.default_rng(2).standard_normal((3, 2))
+    z = np.array([-1.0, 0.0, 0.5, 2.0])
+    cfg = oe.OdeConfig(n_steps=8)
+    shared = api.decode_nodes(m, x, 1, z, cfg)
+    assert shared.shape == (3, 4)
+    np.testing.assert_array_equal(api.decode_nodes(m, x, 1, np.tile(z, (3, 1)), cfg), shared)
+    y, log_p = api.decode_nodes(m, x, 1, z, cfg, log_p=True)
+    np.testing.assert_array_equal(y, shared)
+    ld = api.log_density_batch(m, y.reshape(-1), np.repeat(x, 4, axis=0), 1, cfg)
+    np.testing.assert_allclose(log_p.reshape(-1), ld, atol=1e-4)
+    with pytest.raises(DimensionError, match="nodes have shape"):
+        api.decode_nodes(m, x, 1, np.zeros((2, 4)), cfg)
 
 
 def test_log_density_zero_field():

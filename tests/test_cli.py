@@ -152,12 +152,13 @@ def test_predict_modes(small_run, tmp_path):
         assert len((tmp_path / f"{mode}.csv").read_text().splitlines()) == ds.n + 1
 
 
-def test_predict_cate_ignores_seed_and_n_samples(small_run, tmp_path):
+@pytest.mark.parametrize("mode", ["cate", "map"])
+def test_predict_cate_ignores_seed_and_n_samples(small_run, tmp_path, mode):
     _, _, _, data, model = small_run
     outs = []
     for seed, n_samples in (("0", "64"), ("5", "3")):
-        out = tmp_path / f"cate-{seed}.csv"
-        assert cli.main(["predict", "--model", model, "--data", data, "--mode", "cate",
+        out = tmp_path / f"{mode}-{seed}.csv"
+        assert cli.main(["predict", "--model", model, "--data", data, "--mode", mode,
                          "--out", str(out), "--seed", seed, "--n-samples", n_samples,
                          "--n-steps", "8"]) == 0
         outs.append(out.read_bytes())
@@ -196,6 +197,39 @@ def test_eval_report(small_run, tmp_path):
     assert "rmse_factual" in doc["metrics"]
     assert "pehe" in doc["metrics"]
     assert doc["meta"]["rows_in"] == 8
+
+
+def test_eval_report_depends_on_seed_only_through_mmd(small_run, tmp_path):
+    _, _, _, data, model = small_run
+    docs = []
+    for seed in ("0", "5"):
+        out = tmp_path / f"rep-{seed}.json"
+        assert cli.main(["eval", "--model", model, "--train-data", data, "--test-data", data,
+                         "--out", str(out), "--n-steps", "8", "--max-rows", "8",
+                         "--seed", seed]) == 0
+        docs.append(json.loads(out.read_text()))
+    for doc in docs:
+        for name in ("mmd_model", "mmd_truth_baseline"):
+            doc["metrics"].pop(name)
+        doc["meta"].pop("seed")
+    assert docs[0] == docs[1]
+    assert "kl" in docs[0]["metrics"] and "w1_arm0" in docs[0]["metrics"]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the KL's log-ratio overflows on purpose
+def test_eval_with_non_finite_metric_exits_4_and_keeps_the_previous_report(
+        small_run, tmp_path, capsys):
+    _, _, _, data, model = small_run
+    out = tmp_path / "rep.json"
+    argv = ["eval", "--model", model, "--train-data", data, "--test-data", data,
+            "--out", str(out), "--n-steps", "4", "--max-rows", "8"]
+    assert cli.main(argv) == 0
+    before = out.read_bytes()
+    capsys.readouterr()
+    assert cli.main(argv + ["--noise-sd", "1e-200"]) == 4
+    out_text, err = capsys.readouterr()
+    assert "numeric failure" in err and "rep.json" in err and out_text == ""
+    assert out.read_bytes() == before
 
 
 def test_eval_kfold(small_run, tmp_path):
@@ -405,6 +439,16 @@ _EXIT_2_CASES = {
                               "--out {d}/e.json --noise-sd nan", "noise_sd must be finite"),
     "eval-noise-sd-inf": ({}, "eval --model {model} --train-data {data} --test-data {data} "
                               "--out {d}/e.json --noise-sd inf", "noise_sd must be finite"),
+    "predict-po-n-samples-0": ({}, "predict --model {model} --data {data} --mode po "
+                                   "--out {d}/p.csv --n-samples 0", "--n-samples"),
+    "predict-cate-n-samples-0": ({}, "predict --model {model} --data {data} --mode cate "
+                                     "--out {d}/p.csv --n-samples 0", "--n-samples"),
+    "predict-n-steps-0": ({}, "predict --model {model} --data {data} --mode cf "
+                              "--out {d}/p.csv --n-steps 0", "--n-steps"),
+    "eval-n-steps-0": ({}, "eval --model {model} --train-data {data} --test-data {data} "
+                           "--out {d}/e.json --n-steps 0", "--n-steps"),
+    "a3test-n-steps-0": ({}, "a3test --model {model} --data {data} --out {d}/a.json "
+                             "--n-steps 0", "--n-steps"),
 }
 
 

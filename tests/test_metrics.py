@@ -71,19 +71,17 @@ def test_kl_exact_match_is_zero():
     m = _model(2, y_mean=1.5, y_sd=1.0)
     x = np.zeros((8, 2))
     mu = np.full(8, 1.5)
-    est, se = mt.kl_vs_gaussian_truth(m, x, 1, mu, n_mc=64, seed=0)
-    assert abs(est) <= 1e-12
-    assert se <= 1e-12
+    est = mt.kl_vs_gaussian_truth(m, x, 1, mu)
+    assert isinstance(est, float)
+    assert abs(est) <= 1e-9
 
 
 def test_kl_unit_mean_shift_is_half():
     # KL(N(m, 1) || N(m + 1, 1)) = 0.5
     m = _model(2, y_mean=0.0, y_sd=1.0)
     x = np.zeros((16, 2))
-    est, se = mt.kl_vs_gaussian_truth(m, x, 0, np.full(16, 1.0), n_mc=256,
-                                      seed=3)
-    assert se < 0.05
-    assert abs(est - 0.5) <= 4.0 * se
+    est = mt.kl_vs_gaussian_truth(m, x, 0, np.full(16, 1.0))
+    assert abs(est - 0.5) <= 1e-9
 
 
 def test_kl_variance_mismatch():
@@ -91,9 +89,8 @@ def test_kl_variance_mismatch():
     m = _model(2, y_mean=0.0, y_sd=2.0)
     x = np.zeros((16, 2))
     want = 0.5 * (4.0 - 1.0 - math.log(4.0))
-    est, se = mt.kl_vs_gaussian_truth(m, x, 1, np.zeros(16), n_mc=256,
-                                      seed=5)
-    assert abs(est - want) <= 4.0 * se
+    est = mt.kl_vs_gaussian_truth(m, x, 1, np.zeros(16))
+    assert abs(est - want) <= 1e-9
 
 
 def test_kl_validation():
@@ -101,10 +98,16 @@ def test_kl_validation():
     for sd in (0.0, np.nan, np.inf):
         with pytest.raises(ContractError, match="sd must be finite and positive"):
             mt.kl_vs_gaussian_truth(m, np.zeros((2, 2)), 1, [0.0, 0.0], sd=sd)
-    with pytest.raises(ContractError):
-        mt.kl_vs_gaussian_truth(m, np.zeros((2, 2)), 1, [0.0, 0.0], n_mc=1)
     with pytest.raises(DimensionError):
         mt.kl_vs_gaussian_truth(m, np.zeros((2, 2)), 1, [0.0])
+
+
+def test_quantile_nodes_are_mid_bin_normal_quantiles():
+    # Phi(node_k) = (k + 1/2) / 16, and the set is symmetric about 0
+    q = mt.QUANTILE_NODES
+    cdf = 0.5 * (1.0 + np.array([math.erf(v / math.sqrt(2.0)) for v in q]))
+    np.testing.assert_allclose(cdf, (np.arange(16) + 0.5) / 16, atol=1e-15)
+    np.testing.assert_array_equal(q, -q[::-1])
 
 
 def test_mmd_identical_samples_is_exactly_zero():
@@ -181,8 +184,7 @@ def test_evaluate_all_with_generating_process_predictor():
     model = _model(4)
     rep = mt.evaluate_all(model, tr, te,
                           predictor=_GeneratingProcessPredictor(cfg),
-                          max_rows=64, kl_rows=4, kl_mc=16, n_samples=8,
-                          w1_samples=4)
+                          max_rows=64)
     for tag in ("in", "out"):
         assert rep["metrics"]["rmse_cf"][tag] <= 1e-10
         assert rep["metrics"]["pehe"][tag] == 0.0
@@ -197,8 +199,7 @@ def test_evaluate_all_without_truth_columns_drops_metrics():
     ds = CausalDataset(x=rng.standard_normal((20, 2)),
                        a=rng.integers(0, 2, 20),
                        y=rng.standard_normal(20))
-    rep = mt.evaluate_all(_model(2), ds, ds, max_rows=20, kl_rows=2, kl_mc=4,
-                          n_samples=4, w1_samples=2)
+    rep = mt.evaluate_all(_model(2), ds, ds, max_rows=20)
     assert set(rep["metrics"]) == {"rmse_factual", "rmse_map", "mmd_model",
                                 "mmd_truth_baseline"}
 
@@ -207,16 +208,39 @@ def test_evaluate_all_model_path_is_deterministic():
     cfg = default_config(n=60, d_x=2, seed=11)
     ds = generate_ihdp_like(cfg)
     tr, te = split(ds, 0.5, seed=1)
-    kwargs = dict(max_rows=12, kl_rows=3, kl_mc=8, n_samples=4, w1_samples=2)
     m = _model(2)
-    r1 = mt.evaluate_all(m, tr, te, **kwargs)
-    r2 = mt.evaluate_all(m, tr, te, **kwargs)
+    r1 = mt.evaluate_all(m, tr, te, max_rows=12)
+    r2 = mt.evaluate_all(m, tr, te, max_rows=12)
     assert r1 == r2
-    expect = {"rmse_factual", "rmse_map", "rmse_cf", "pehe", "kl", "kl_se",
+    expect = {"rmse_factual", "rmse_map", "rmse_cf", "pehe", "kl",
               "w1_arm0", "w1_arm1", "mmd_model", "mmd_truth_baseline"}
     assert set(r1["metrics"]) == expect
     for name, vals in r1["metrics"].items():
         assert set(vals) == {"in", "out"}, name
+    assert set(r1["meta"]) == {"rows_in", "rows_out", "noise_sd", "seed", "n_steps",
+                               "predictor"}
+
+
+def test_evaluate_all_zero_field_hand_values():
+    # The zero field decodes z to y = y_mean + y_sd * z: the mean and the MAP are
+    # y_mean, the quantile nodes decode to y_mean + y_sd * node, and the KL is
+    # that of N(y_mean, y_sd^2) against N(mu_a, noise_sd^2).
+    cfg = default_config(n=40, d_x=2, seed=5)
+    ds = generate_ihdp_like(cfg)
+    m = _model(2, y_mean=0.25, y_sd=1.5)
+    rep = mt.evaluate_all(m, ds, ds, max_rows=10, noise_sd=2.0)["metrics"]
+    sub = ds.take(np.arange(10))
+    assert rep["rmse_factual"]["in"] == pytest.approx(mt.rmse(np.full(10, 0.25), sub.y),
+                                                      abs=1e-12)
+    assert rep["rmse_map"]["in"] == mt.rmse(np.full(10, 0.25), sub.y)
+    mu = np.where(sub.a == 1, sub.mu1, sub.mu0)
+    want = np.mean(math.log(2.0 / 1.5) + (1.5 ** 2 + (0.25 - mu) ** 2) / (2 * 2.0 ** 2) - 0.5)
+    assert rep["kl"]["in"] == pytest.approx(want, abs=1e-9)
+    for arm, mu_arm in ((0, sub.mu0), (1, sub.mu1)):
+        model_q = 0.25 + 1.5 * mt.QUANTILE_NODES
+        truth_q = mu_arm[:, None] + 2.0 * mt.QUANTILE_NODES
+        want = mt.wasserstein1(np.tile(model_q, 10), truth_q.reshape(-1))
+        assert rep[f"w1_arm{arm}"]["in"] == pytest.approx(want, abs=1e-12)
 
 
 def test_sq_dists_matches_direct_differences():

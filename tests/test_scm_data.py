@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from causalflow import scm_data as sd
-from causalflow.errors import ContractError, FitError, GenerationError, SchemaError
+from causalflow.errors import (ContractError, FitError, GenerationError, NumericError,
+                               SchemaError)
 
 
 def _cfg(**over):
@@ -190,12 +193,17 @@ def test_write_csv_failing_halfway_keeps_previous_file(tmp_path, monkeypatch):
     assert [p.name for p in tmp_path.iterdir()] == ["data.csv"]
 
 
-def test_write_json_failing_halfway_keeps_previous_file(tmp_path):
+@pytest.mark.parametrize("doc, error, needle", [
+    ({"a": 2, "b": object()}, TypeError, "not JSON serializable"),
+    ({"a": 2, "b": [1.0, math.nan]}, NumericError, "report.json"),
+    ({"a": 2, "b": -math.inf}, NumericError, "report.json"),
+])
+def test_write_json_failing_halfway_keeps_previous_file(tmp_path, doc, error, needle):
     path = tmp_path / "report.json"
     sd.write_json({"a": 1}, path)
     before = path.read_bytes()
-    with pytest.raises(TypeError):
-        sd.write_json({"a": 2, "b": object()}, path)
+    with pytest.raises(error, match=needle):
+        sd.write_json(doc, path)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
 
