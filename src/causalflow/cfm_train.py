@@ -8,13 +8,13 @@ head onto the difference (noise - outcome) with Adam updates.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import numkit as nk
 from .errors import ContractError, FitError, TrainingError
-from .scm_data import CausalDataset, PropensityModel, fit_propensity
+from .scm_data import CausalDataset, PropensityModel, check_array_bytes, fit_propensity
 from .velocity_net import NetConfig, VelocityNet, cond_features, core_forward, init
 
 
@@ -115,26 +115,51 @@ def cfm_loss(net: VelocityNet, y0, x, a, y1, ts, weights=None) -> tuple[float, n
     return nk.tape_forward(build, net.params)
 
 
-@dataclass
 class _AdamState:
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
-    t: int = 0
+    """Step count, flat first and second moments, and two scratch vectors."""
+
+    def __init__(self, size: int):
+        self.t = 0
+        self.m, self.v = np.zeros(size), np.zeros(size)
+        self.step, self.denom = np.empty(size), np.empty(size)
 
 
-def _adam_step(params: dict, grads: dict, state: _AdamState, cfg: TrainConfig) -> None:
-    if state.t == 0:
-        state.m = {k: np.zeros_like(p) for k, p in params.items()}
-        state.v = {k: np.zeros_like(p) for k, p in params.items()}
+def _adam_step(theta: np.ndarray, grad: np.ndarray, state: _AdamState,
+               cfg: TrainConfig) -> None:
+    """One Adam update of the flat parameter vector theta, in place.
+
+    Each ufunc keeps the operation order of m = b1*m + (1-b1)*g,
+    v = b2*v + (1-b2)*g*g and theta -= lr*(m/c1) / (sqrt(v/c2) + eps).
+    Elementwise results do not depend on layout, so the bits are those of
+    the same update applied tensor by tensor.
+    """
     state.t += 1
     b1, b2 = cfg.adam_beta1, cfg.adam_beta2
     c1 = 1.0 - b1 ** state.t
     c2 = 1.0 - b2 ** state.t
-    for name, p in params.items():
-        g = grads[name]
-        state.m[name] = b1 * state.m[name] + (1.0 - b1) * g
-        state.v[name] = b2 * state.v[name] + (1.0 - b2) * g * g
-        p -= cfg.lr * (state.m[name] / c1) / (np.sqrt(state.v[name] / c2) + cfg.adam_eps)
+    m, v, step, denom = state.m, state.v, state.step, state.denom
+    m *= b1
+    m += np.multiply(1.0 - b1, grad, out=step)
+    v *= b2
+    np.multiply(1.0 - b2, grad, out=step)
+    step *= grad
+    v += step
+    np.divide(v, c2, out=denom)
+    np.sqrt(denom, out=denom)
+    denom += cfg.adam_eps
+    np.divide(m, c1, out=step)
+    step *= cfg.lr
+    step /= denom
+    theta -= step
+
+
+def _flat_views(flat: np.ndarray, like: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Views of flat shaped like the tensors of like, laid end to end in its order."""
+    views, lo = {}, 0
+    for name, t in like.items():
+        views[name] = flat[lo:lo + t.size].reshape(t.shape)
+        lo += t.size
+    return views
 
 
 def train(ds: CausalDataset, net_cfg: NetConfig, train_cfg: TrainConfig
@@ -148,13 +173,20 @@ def train(ds: CausalDataset, net_cfg: NetConfig, train_cfg: TrainConfig
         raise ContractError(f"data has d_x={ds.d_x}, net expects {net_cfg.d_x}")
     if len(np.unique(ds.a)) < 2:
         raise FitError("training data must contain both treatment arms")
+    check_array_bytes("batch_size * net width",
+                      train_cfg.batch_size * max(net_cfg.hidden, net_cfg.cond_dim))
 
     row_weights = None
     if train_cfg.ipw:
         row_weights = ipw_weights(ds, fit_propensity(ds))
 
     net = init(net_cfg)
-    state = _AdamState()
+    # parameters, gradients and Adam moments live in flat vectors in
+    # layer_shapes order; net.params holds reshaped views of theta
+    theta = np.concatenate([t.reshape(-1) for t in net.params.values()])
+    net.params = _flat_views(theta, net.params)
+    grad = np.empty_like(theta)
+    state = _AdamState(theta.size)
     rng = np.random.default_rng(train_cfg.seed)
     history: list[tuple[int, float]] = []
     for it in range(1, train_cfg.max_iters + 1):
@@ -166,7 +198,8 @@ def train(ds: CausalDataset, net_cfg: NetConfig, train_cfg: TrainConfig
         if not np.isfinite(loss):
             raise TrainingError(f"non-finite loss at iteration {it}")
         grads = nk.tape_backward(tape)
-        _adam_step(net.params, grads, state, train_cfg)
+        np.concatenate([grads[name].reshape(-1) for name in net.params], out=grad)
+        _adam_step(theta, grad, state, train_cfg)
         if it == 1 or it % train_cfg.loss_log_every == 0:
             history.append((it, loss))
     return net, TrainReport(history, history[-1][1], train_cfg.max_iters)

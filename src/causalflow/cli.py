@@ -112,13 +112,6 @@ def dgp_config_from_file(path, seed_override=None) -> DgpConfig:
     kw = _typed_fields(DgpConfig, path, "generator", reserved=("propensity_coef",))
     if seed_override is not None:
         kw["seed"] = seed_override
-    d_x = kw.get("d_x", default_config().d_x)
-    for key in ("beta", "w_shift"):
-        if key in kw:
-            if len(kw[key]) == 1:
-                kw[key] *= d_x
-            if len(kw[key]) != d_x:
-                raise ConfigError(f"{key}: got {len(kw[key])} values for d_x={d_x}")
     raw = kw.get("propensity", "balanced")
     if raw.startswith("logistic:"):
         kw.update(propensity="logistic", propensity_coef=_parse_floats("propensity", raw[9:]))
@@ -232,7 +225,8 @@ def cmd_predict(args) -> Run:
                                *(map(fmt_float, np.ravel(c).tolist()) for c in cols)))
     with atomic_write(args.out) as fh:
         fh.write("\n".join(lines) + "\n")
-    return Run(f"wrote {len(lines) - 1} {mode} rows to {args.out}", {"seed": args.seed},
+    seeds = {"seed": args.seed} if mode == "po" else {}  # only po draws noise
+    return Run(f"wrote {len(lines) - 1} {mode} rows to {args.out}", seeds,
                [args.model, args.data], [args.out])
 
 

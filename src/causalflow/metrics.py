@@ -1,9 +1,10 @@
 """Evaluation metrics for outcome models with optional ground-truth columns.
 
 Point-prediction errors (rmse, pehe), distributional gaps against a known
-Gaussian outcome law (kl_vs_gaussian_truth, wasserstein1), and a two-sample
-latent-noise adequacy test (mmd_a3_test). evaluate_all bundles everything
-that the available truth columns permit, on train and test splits.
+Gaussian outcome law (the Gauss-Hermite KL of _gh_kl, wasserstein1), and a
+two-sample latent-noise adequacy test (mmd_a3_test). evaluate_all bundles
+everything that the available truth columns permit, on train and test
+splits.
 """
 
 from __future__ import annotations
@@ -58,26 +59,13 @@ def wasserstein1(u, v) -> float:
 
 
 def _gh_kl(y: np.ndarray, log_p: np.ndarray, mu: np.ndarray, sd: float) -> float:
-    """Row mean of KL(model || N(mu_i, sd^2)) from (n, 16) decodes at the GAUSS_HERMITE nodes."""
-    log_truth = -0.5 * oe.LOG_2PI - math.log(sd) - 0.5 * ((y - mu[:, None]) / sd) ** 2
-    return float(np.mean((log_p - log_truth) @ api.GAUSS_HERMITE[1]))
-
-
-def kl_vs_gaussian_truth(model: FlowModel, x, a, mu, sd: float = 1.0,
-                         ode_cfg: oe.OdeConfig = oe.OdeConfig()) -> float:
-    """KL(model || N(mu_i, sd^2)), averaged over rows.
+    """Row mean of KL(model || N(mu_i, sd^2)) from (n, 16) decodes at the GAUSS_HERMITE nodes.
 
     Each row's KL is E_z[log p(y(z)) - log N(y(z); mu_i, sd^2)] over the
-    base noise z ~ N(0, 1), by 16-node Gauss-Hermite quadrature.
+    base noise z ~ N(0, 1); y and log_p come from decode_nodes(..., log_p=True).
     """
-    if not 0.0 < sd < math.inf:
-        raise ContractError(f"sd must be finite and positive, got {sd}")
-    x = api._check_x(model, x)
-    mu = np.asarray(mu, dtype=np.float64).reshape(-1)
-    if mu.shape[0] != x.shape[0]:
-        raise DimensionError(f"{mu.shape[0]} means for {x.shape[0]} rows")
-    y, log_p = api.decode_nodes(model, x, a, api.GAUSS_HERMITE[0], ode_cfg, log_p=True)
-    return _gh_kl(y, log_p, mu, sd)
+    log_truth = -0.5 * oe.LOG_2PI - math.log(sd) - 0.5 * ((y - mu[:, None]) / sd) ** 2
+    return float(np.mean((log_p - log_truth) @ api.GAUSS_HERMITE[1]))
 
 
 def _sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:

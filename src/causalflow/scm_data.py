@@ -20,6 +20,17 @@ from .numkit import sigmoid_kernel
 
 PROPENSITY_CLIP = (0.01, 0.99)
 SD_FLOOR = 1e-12
+# The largest float64 array that a configured size may imply: 1 GiB. The
+# generator's n * d_x, training's batch_size times the net width and the
+# net's parameter count are checked against it before anything is allocated.
+MAX_ARRAY_BYTES = 1 << 30
+
+
+def check_array_bytes(what: str, count: int) -> None:
+    """ContractError naming what when count float64 values exceed MAX_ARRAY_BYTES."""
+    if 8 * count > MAX_ARRAY_BYTES:
+        raise ContractError(f"{what} = {count} values ({8 * count} bytes) exceeds the "
+                            f"{MAX_ARRAY_BYTES}-byte array cap")
 
 
 @dataclass(frozen=True)
@@ -39,6 +50,7 @@ class DgpConfig:
     def __post_init__(self):
         if self.n <= 0 or self.d_x <= 0:
             raise ContractError("n and d_x must be positive")
+        check_array_bytes("n * d_x", self.n * self.d_x)
         if len(self.beta) != self.d_x or len(self.w_shift) != self.d_x:
             raise ContractError("beta and w_shift must have d_x entries")
         if not 0.0 <= self.noise_sd < np.inf:
@@ -57,11 +69,18 @@ class DgpConfig:
 
 
 def default_config(n: int = 1000, d_x: int = 10, seed: int = 0, **over) -> DgpConfig:
-    """Nonlinear response-surface benchmark with a cycling coefficient pattern."""
+    """Nonlinear response-surface benchmark with a cycling coefficient pattern.
+
+    A one-value beta or w_shift in over repeats d_x times.
+    """
+    check_array_bytes("n * d_x", n * d_x)  # before any d_x-long tuple is built
     beta = tuple(0.1 * (i % 5) for i in range(d_x))
     kwargs = dict(n=n, d_x=d_x, beta=beta, omega=1.0,
                   w_shift=(0.5,) * d_x, noise_sd=1.0, seed=seed)
     kwargs.update(over)
+    for key in ("beta", "w_shift"):
+        if len(kwargs[key]) == 1:
+            kwargs[key] = tuple(kwargs[key]) * d_x
     return DgpConfig(**kwargs)
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ConfigError, ContractError, DimensionError
 from .numkit import sigmoid_kernel
-from .scm_data import Scaler, write_json
+from .scm_data import Scaler, check_array_bytes, write_json
 
 MODEL_FORMAT_VERSION = 1
 _T_TOL = 1e-9
@@ -54,6 +54,8 @@ class NetConfig:
             raise ContractError("hidden_dim must be at least 1")
         if self.init_seed < 0:
             raise ContractError(f"init_seed must be non-negative, got {self.init_seed}")
+        check_array_bytes("param_count of hidden_dim, d_x and time_frequencies",
+                          param_count(self))
 
     @property
     def hidden(self) -> int:

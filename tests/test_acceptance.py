@@ -164,7 +164,9 @@ def test_gate_06_kl_against_known_outcome_law(bench):
     te = bench.test_ds
     m = 64
     mu = np.where(te.a[:m] == 1, te.mu1[:m], te.mu0[:m])
-    kl = mt.kl_vs_gaussian_truth(bench.model, te.x[:m], te.a[:m], mu, sd=1.0, ode_cfg=ODE)
+    y16, log_p16 = api.decode_nodes(bench.model, te.x[:m], te.a[:m], api.GAUSS_HERMITE[0],
+                                    ODE, log_p=True)
+    kl = mt._gh_kl(y16, log_p16, mu, 1.0)
     z, w = hermegauss(64)
     y, log_p = api.decode_nodes(bench.model, te.x[:m], te.a[:m], z, ODE, log_p=True)
     log_truth = -0.5 * math.log(2.0 * math.pi) - 0.5 * (y - mu[:, None]) ** 2

@@ -74,3 +74,25 @@ def test_bench_workloads_reach_what_they_name():
                 raise AssertionError(f"{where}: {exc}") from None
         calls += 1
     assert calls > 20  # the workloads still reach the package through these names
+
+
+def test_train_reaches_loss_and_tape_through_module_attributes(monkeypatch):
+    # the tracer patches these three attributes to split training time by layer
+    calls = {}
+
+    def counting(module, name):
+        inner = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module, name in ((cfm_train, "cfm_loss"), (numkit, "tape_forward"),
+                         (numkit, "tape_backward")):
+        counting(module, name)
+    ds = scm_data.generate_ihdp_like(scm_data.default_config(n=60, d_x=2, seed=0))
+    cfm_train.train(ds, velocity_net.NetConfig(d_x=2),
+                    cfm_train.TrainConfig(batch_size=16, max_iters=3))
+    assert calls == {"cfm_loss": 3, "tape_forward": 3, "tape_backward": 3}

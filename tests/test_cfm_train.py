@@ -156,12 +156,11 @@ def test_ipw_mean_near_two_on_balanced_data():
 
 def test_adam_first_step_is_sign_scaled():
     cfg = ct.TrainConfig(lr=0.1)
-    params = {"w": np.array([[1.0, -2.0]])}
-    grads = {"w": np.array([[0.3, -0.7]])}
-    state = ct._AdamState()
-    ct._adam_step(params, grads, state, cfg)
+    theta = np.array([1.0, -2.0])
+    state = ct._AdamState(theta.size)
+    ct._adam_step(theta, np.array([0.3, -0.7]), state, cfg)
     # with zero moment history the update is -lr * g/(|g|+eps)
-    np.testing.assert_allclose(params["w"], [[1.0 - 0.1, -2.0 + 0.1]], atol=1e-8)
+    np.testing.assert_allclose(theta, [1.0 - 0.1, -2.0 + 0.1], atol=1e-8)
 
 
 def test_adam_zero_lr_keeps_params():
@@ -185,6 +184,54 @@ def test_train_is_bit_deterministic():
     assert rep1.loss_history == rep2.loss_history
     for name, t in net1.params.items():
         assert np.array_equal(t, net2.params[name])
+
+
+def _reference_train(ds, net_cfg, cfg):
+    """train's loop with Adam applied tensor by tensor, as separate arrays."""
+    weights = ct.ipw_weights(ds, sd.fit_propensity(ds)) if cfg.ipw else None
+    net = vn.init(net_cfg)
+    m = {k: np.zeros_like(p) for k, p in net.params.items()}
+    v = {k: np.zeros_like(p) for k, p in net.params.items()}
+    b1, b2 = cfg.adam_beta1, cfg.adam_beta2
+    rng = np.random.default_rng(cfg.seed)
+    history = []
+    for it in range(1, cfg.max_iters + 1):
+        idx = rng.integers(0, ds.n, size=cfg.batch_size)
+        y1 = rng.standard_normal(cfg.batch_size)
+        ts = rng.random(cfg.batch_size)
+        w = None if weights is None else weights[idx]
+        loss, tape = ct.cfm_loss(net, ds.y[idx], ds.x[idx], ds.a[idx], y1, ts, w)
+        grads = nk.tape_backward(tape)
+        c1, c2 = 1.0 - b1 ** it, 1.0 - b2 ** it
+        for name, p in net.params.items():
+            g = grads[name]
+            m[name] = b1 * m[name] + (1.0 - b1) * g
+            v[name] = b2 * v[name] + (1.0 - b2) * g * g
+            p -= cfg.lr * (m[name] / c1) / (np.sqrt(v[name] / c2) + cfg.adam_eps)
+        if it == 1 or it % cfg.loss_log_every == 0:
+            history.append((it, loss))
+    return net, history
+
+
+@pytest.mark.parametrize("ipw", [False, True])
+def test_flat_adam_matches_per_tensor_adam_bit_for_bit(ipw):
+    ds, _ = _standardized(n=400)
+    net_cfg = vn.NetConfig(d_x=3)
+    cfg = ct.TrainConfig(max_iters=40, lr=5e-3, ipw=ipw, seed=2)
+    net, rep = ct.train(ds, net_cfg, cfg)
+    ref, history = _reference_train(ds, net_cfg, cfg)
+    assert list(net.params) == list(ref.params)
+    for name, t in net.params.items():
+        assert np.array_equal(t, ref.params[name]), name
+    assert rep.loss_history == history and len(history) == 40
+
+
+def test_trained_params_are_views_of_one_flat_vector():
+    ds, _ = _standardized(n=100)
+    net, _ = ct.train(ds, vn.NetConfig(d_x=3), ct.TrainConfig(batch_size=16, max_iters=2))
+    flat = net.params["embed_w"].base
+    assert flat.ndim == 1 and flat.size == vn.param_count(net.cfg)
+    assert all(t.base is flat for t in net.params.values())
 
 
 def test_train_reduces_loss():

@@ -449,6 +449,16 @@ _EXIT_2_CASES = {
                            "--out {d}/e.json --n-steps 0", "--n-steps"),
     "a3test-n-steps-0": ({}, "a3test --model {model} --data {data} --out {d}/a.json "
                              "--n-steps 0", "--n-steps"),
+    # sizes past scm_data.MAX_ARRAY_BYTES are refused before anything is allocated
+    "generator-n-past-byte-cap": ({"dgp.cfg": b"n = 1000000000000\n"},
+                                  "generate --config {d}/dgp.cfg --out {d}/g.csv",
+                                  "dgp.cfg: n * d_x"),
+    "train-batch-size-past-byte-cap": ({"tr.cfg": b"max_iters = 2\nbatch_size = 1000000000000\n"},
+                                       "train --data {data} --out {d}/m2.json "
+                                       "--train-config {d}/tr.cfg", "batch_size"),
+    "net-hidden-dim-past-byte-cap": ({"net.cfg": b"hidden_dim = 100000000\n"},
+                                     "train --data {data} --out {d}/m2.json "
+                                     "--net-config {d}/net.cfg", "net.cfg: param_count of hidden_dim"),
 }
 
 
@@ -521,6 +531,16 @@ def test_main_writes_the_manifest_then_prints_the_summary(small_run, tmp_path, c
             assert digest == hashlib.sha256(Path(path).read_bytes()).hexdigest()
     summary = capsys.readouterr().out
     assert summary.count("\n") == 1 and out in summary
+
+
+@pytest.mark.parametrize("mode", ["cf", "cate", "map", "density"])
+def test_predict_manifest_records_no_seed_for_noise_free_modes(small_run, tmp_path, mode):
+    _, _, _, data, model = small_run
+    out = tmp_path / f"{mode}.csv"
+    assert cli.main(["predict", "--model", model, "--data", data, "--mode", mode,
+                     "--out", str(out), "--n-steps", "4", "--seed", "5"]) == 0
+    man = json.loads(Path(f"{out}.manifest.json").read_text(encoding="utf-8"))
+    assert man["seeds"] == {}
 
 
 def test_failed_manifest_write_exits_3_and_prints_no_summary(small_run, tmp_path, capsys):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from helpers import linear_net
 
+from causalflow import causal_api as api
 from causalflow import metrics as mt
 from causalflow import velocity_net as vn
 from causalflow.errors import ContractError, DimensionError
@@ -67,11 +68,16 @@ def test_wasserstein1_shift():
         mt.wasserstein1([], [1.0])
 
 
+def _kl(model, x, a, mu, sd=1.0):
+    y, log_p = api.decode_nodes(model, x, a, api.GAUSS_HERMITE[0], log_p=True)
+    return mt._gh_kl(y, log_p, np.asarray(mu, dtype=np.float64), sd)
+
+
 def test_kl_exact_match_is_zero():
     m = _model(2, y_mean=1.5, y_sd=1.0)
     x = np.zeros((8, 2))
     mu = np.full(8, 1.5)
-    est = mt.kl_vs_gaussian_truth(m, x, 1, mu)
+    est = _kl(m, x, 1, mu)
     assert isinstance(est, float)
     assert abs(est) <= 1e-9
 
@@ -80,7 +86,7 @@ def test_kl_unit_mean_shift_is_half():
     # KL(N(m, 1) || N(m + 1, 1)) = 0.5
     m = _model(2, y_mean=0.0, y_sd=1.0)
     x = np.zeros((16, 2))
-    est = mt.kl_vs_gaussian_truth(m, x, 0, np.full(16, 1.0))
+    est = _kl(m, x, 0, np.full(16, 1.0))
     assert abs(est - 0.5) <= 1e-9
 
 
@@ -89,17 +95,16 @@ def test_kl_variance_mismatch():
     m = _model(2, y_mean=0.0, y_sd=2.0)
     x = np.zeros((16, 2))
     want = 0.5 * (4.0 - 1.0 - math.log(4.0))
-    est = mt.kl_vs_gaussian_truth(m, x, 1, np.zeros(16))
+    est = _kl(m, x, 1, np.zeros(16))
     assert abs(est - want) <= 1e-9
 
 
 def test_kl_validation():
-    m = _model(2)
-    for sd in (0.0, np.nan, np.inf):
-        with pytest.raises(ContractError, match="sd must be finite and positive"):
-            mt.kl_vs_gaussian_truth(m, np.zeros((2, 2)), 1, [0.0, 0.0], sd=sd)
-    with pytest.raises(DimensionError):
-        mt.kl_vs_gaussian_truth(m, np.zeros((2, 2)), 1, [0.0])
+    # the KL's truth sd is evaluate_all's noise_sd, checked at that boundary
+    ds = generate_ihdp_like(default_config(n=8, d_x=2, seed=3))
+    for sd in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ContractError, match="noise_sd must be finite and positive"):
+            mt.evaluate_all(_model(2), ds, ds, max_rows=4, noise_sd=sd)
 
 
 def test_quantile_nodes_are_mid_bin_normal_quantiles():
