@@ -162,6 +162,12 @@ def _flat_views(flat: np.ndarray, like: dict[str, np.ndarray]) -> dict[str, np.n
     return views
 
 
+def check_batch_bytes(train_cfg: TrainConfig, net_cfg: NetConfig) -> None:
+    """ContractError when one batch's widest activation passes scm_data.MAX_ARRAY_BYTES."""
+    check_array_bytes("batch_size * net width",
+                      train_cfg.batch_size * max(net_cfg.hidden, net_cfg.cond_dim))
+
+
 def train(ds: CausalDataset, net_cfg: NetConfig, train_cfg: TrainConfig
           ) -> tuple[VelocityNet, TrainReport]:
     """Fit the velocity net on a (standardized) dataset.
@@ -173,8 +179,7 @@ def train(ds: CausalDataset, net_cfg: NetConfig, train_cfg: TrainConfig
         raise ContractError(f"data has d_x={ds.d_x}, net expects {net_cfg.d_x}")
     if len(np.unique(ds.a)) < 2:
         raise FitError("training data must contain both treatment arms")
-    check_array_bytes("batch_size * net width",
-                      train_cfg.batch_size * max(net_cfg.hidden, net_cfg.cond_dim))
+    check_batch_bytes(train_cfg, net_cfg)
 
     row_weights = None
     if train_cfg.ipw:

@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from . import causal_api as api
 from . import metrics as mt
-from .cfm_train import TrainConfig, train
+from .cfm_train import TrainConfig, check_batch_bytes, train
 from .errors import ConfigError, ContractError, NumericError
 from .ode_engine import OdeConfig
 from .scm_data import (DgpConfig, atomic_write, default_config, fmt_float,
@@ -132,6 +132,14 @@ def net_config_from_file(path, d_x: int) -> NetConfig:
     return _construct(path, NetConfig, {**kw, "d_x": d_x})
 
 
+def _fit_configs(args, d_x: int) -> tuple[TrainConfig, NetConfig]:
+    """--train-config and --net-config; a batch past the byte cap names the training file."""
+    train_cfg = train_config_from_file(args.train_config, args.seed)
+    net_cfg = net_config_from_file(args.net_config, d_x)
+    _construct(args.train_config, check_batch_bytes, {"train_cfg": train_cfg, "net_cfg": net_cfg})
+    return train_cfg, net_cfg
+
+
 # ---------------------------------------------------------------- manifests
 
 class Run(NamedTuple):
@@ -182,8 +190,7 @@ def _loss_csv_path(model_path: str) -> str:
 
 def cmd_train(args) -> Run:
     ds = load_csv(args.data)
-    train_cfg = train_config_from_file(args.train_config, args.seed)
-    net_cfg = net_config_from_file(args.net_config, ds.d_x)
+    train_cfg, net_cfg = _fit_configs(args, ds.d_x)
     std_ds, scaler = standardize(ds)
     net, report = train(std_ds, net_cfg, train_cfg)
     model = FlowModel(net=net, scaler=scaler, train_meta={
@@ -247,8 +254,7 @@ def cmd_eval(args) -> Run:
         if ds.n < 2 * args.folds:
             raise ContractError(
                 f"{ds.n} rows cannot support {args.folds} folds")
-        train_cfg = train_config_from_file(args.train_config, args.seed)
-        net_cfg = net_config_from_file(args.net_config, ds.d_x)
+        train_cfg, net_cfg = _fit_configs(args, ds.d_x)
         fold_of = np.random.default_rng(args.seed).permutation(ds.n) % args.folds
         folds = []
         for k in range(args.folds):
@@ -381,6 +387,10 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
+        return 4
+    except MemoryError as exc:  # a size that no byte cap refused up front
+        print(f"out of memory in {args.command}: {str(exc) or 'allocation failed'}",
+              file=sys.stderr)
         return 4
     return 0
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import causal_api as api
 from . import ode_engine as oe
-from .errors import ContractError, DimensionError
+from .errors import ContractError, DimensionError, NumericError
 from .scm_data import CausalDataset
 from .velocity_net import FlowModel
 
@@ -41,21 +41,16 @@ def pehe(cate_pred, tau_true) -> float:
 
 
 def wasserstein1(u, v) -> float:
-    """Earth mover distance between two one-dimensional samples.
+    """Earth mover distance between two one-dimensional samples of equal size.
 
-    Equal sizes reduce to the mean absolute gap of the sorted samples;
-    unequal sizes integrate |CDF_u - CDF_v| over the merged support.
+    It is the mean absolute gap of the sorted samples.
     """
     u = np.sort(np.asarray(u, dtype=np.float64).reshape(-1))
     v = np.sort(np.asarray(v, dtype=np.float64).reshape(-1))
-    if u.size == 0 or v.size == 0:
-        raise ContractError("wasserstein1 needs non-empty samples")
-    if u.size == v.size:
-        return float(np.mean(np.abs(u - v)))
-    grid = np.sort(np.concatenate([u, v]))
-    cdf_u = np.searchsorted(u, grid[:-1], side="right") / u.size
-    cdf_v = np.searchsorted(v, grid[:-1], side="right") / v.size
-    return float(np.sum(np.abs(cdf_u - cdf_v) * np.diff(grid)))
+    if u.size == 0 or u.size != v.size:
+        raise ContractError(f"wasserstein1 needs two non-empty samples of equal size, "
+                            f"got {u.size} and {v.size}")
+    return float(np.mean(np.abs(u - v)))
 
 
 def _gh_kl(y: np.ndarray, log_p: np.ndarray, mu: np.ndarray, sd: float) -> float:
@@ -68,23 +63,101 @@ def _gh_kl(y: np.ndarray, log_p: np.ndarray, mu: np.ndarray, sd: float) -> float
     return float(np.mean((log_p - log_truth) @ api.GAUSS_HERMITE[1]))
 
 
-def _sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Pairwise squared distances |a|^2 + |b|^2 - 2 a.b, clipped at 0.
+# Bytes of one (rows, cols) float64 block in mmd_squared's passes, which hold
+# a few such temporaries at a time, so memory stays flat in n. At 128 KB a
+# temporary stays under glibc's mmap threshold and reuses heap chunks; with
+# 1-2 MB blocks, page faults made mmd_squared at n = 1,000 1.4-1.9x slower.
+_BLOCK_BYTES = 1 << 17
+_SUBSAMPLE = 256  # points whose pairwise distances place the first median cuts
+# Their quantile levels: fine near the median, and wide enough to hold it
+# despite the subsample's error (up to 0.07 in quantile at 6,000 points).
+_CUT_LEVELS = 0.5 + np.array([-8, -4, -2, -1, 0, 1, 2, 4, 8]) / 80
+_KEEP_PER_POINT = 32  # at most this many pairs per point reach np.partition
 
-    Allocates (n, m) arrays only. B.T is copied so that numpy never takes
-    its syrk path for A @ A.T: equal inputs then give equal bits whether or
-    not they share a buffer.
+
+def _gram_parts(values: np.ndarray):
+    """Rows, a transposed copy and squared norms, for Gram blocks of pairwise distances.
+
+    The copy keeps numpy off its syrk path for A @ A.T, so equal inputs give
+    equal bits whether or not they share a buffer.
     """
-    gram = A @ B.T.copy()
-    sq = np.sum(A * A, axis=1)[:, None] + np.sum(B * B, axis=1)[None, :] - 2.0 * gram
-    return np.maximum(sq, 0.0)
+    return values, values.T.copy(), np.sum(values * values, axis=1)
+
+
+def _sq_block(p, q, rows, cols) -> np.ndarray:
+    """Squared distances |a|^2 + |b|^2 - 2 a.b, clipped at 0, of p's rows to q's cols."""
+    (pv, _, pn), (_, qt, qn) = p, q
+    sq = pn[rows, None] + qn[None, cols]
+    gram = pv[rows] @ qt[:, cols]
+    gram *= 2.0
+    sq -= gram
+    return np.maximum(sq, 0.0, out=sq)
+
+
+def _upper_blocks(n: int):
+    """(rows, cols) slices whose blocks cover the strict upper triangle of (n, n).
+
+    Each block starts on the diagonal and has at least 2 rows and 2 columns:
+    numpy computes a one-row product by gemv, which rounds unlike gemm.
+    """
+    lo = 0
+    while lo < n - 1:
+        hi = min(n, lo + max(2, _BLOCK_BYTES // (8 * (n - lo))))
+        yield slice(lo, hi), slice(lo, n)
+        lo = hi
+
+
+def _strict_upper(block: np.ndarray, fill: float) -> np.ndarray:
+    """Fill the entries of an _upper_blocks block on or below the diagonal."""
+    r = block.shape[0]
+    block[:, :r][np.tri(r, dtype=bool)] = fill
+    return block
+
+
+def _pair_sq(p):
+    """Blocks of the pairwise squared distances of p's points, NaN off the strict upper triangle."""
+    for rows, cols in _upper_blocks(p[0].shape[0]):
+        yield _strict_upper(_sq_block(p, p, rows, cols), np.nan)
 
 
 def _median_bandwidth(values: np.ndarray) -> float:
-    sq = _sq_dists(values, values)
-    iu = np.triu_indices(values.shape[0], k=1)
-    med = float(np.median(np.sqrt(sq[iu])))
-    return max(0.5 * med, 1e-12)
+    """Half the median pairwise distance, floored at 1e-12.
+
+    Bit for bit 0.5 * np.median(np.sqrt(sq[triu])) over the Gram-formula
+    squared distances, without storing the pairs: sqrt is monotone, so the
+    two middle order statistics are found on sq. Counting passes narrow a
+    bracket [lo, hi) around their ranks, starting from cuts that a strided
+    point subsample places. Once the bracket holds at most _KEEP_PER_POINT
+    pairs per point, one more pass keeps them for np.partition.
+    """
+    p = _gram_parts(values)
+    n = values.shape[0]
+    total = n * (n - 1) // 2
+    k1, k2 = (total - 1) // 2, total // 2  # np.median's middle ranks, equal when odd
+    sub = _gram_parts(values[::-(-n // _SUBSAMPLE)])
+    sub_sq = _sq_block(sub, sub, slice(None), slice(None))
+    sub_sq = sub_sq[np.triu_indices(sub_sq.shape[0], k=1)]
+    at = np.rint(_CUT_LEVELS * (sub_sq.size - 1)).astype(np.intp)
+    cuts = np.partition(sub_sq, at)[at]
+    lo, hi, below, mass = 0.0, math.inf, 0, total  # below: pairs < lo; mass: pairs in [lo, hi)
+    while mass > _KEEP_PER_POINT * n and np.nextafter(lo, math.inf) < hi:
+        cuts = np.unique(cuts[(cuts > lo) & (cuts < hi)])
+        counts, top = np.zeros(cuts.size, dtype=np.int64), lo
+        for sq in _pair_sq(p):
+            counts += [np.count_nonzero(sq < c) for c in cuts]
+            top = max(top, float(np.fmax.reduce(sq, axis=None)))
+        edges = [lo, *cuts, min(hi, np.nextafter(top, math.inf))]
+        cum = [below, *counts, below + mass]
+        a = int(np.searchsorted(cum, k1, side="right")) - 1
+        b = int(np.searchsorted(cum, k2, side="right"))
+        lo, hi, below, mass = float(edges[a]), float(edges[b]), int(cum[a]), int(cum[b] - cum[a])
+        cuts = np.append(np.nextafter(lo, math.inf), np.linspace(lo, hi, 9)[1:-1])
+    if np.nextafter(lo, math.inf) < hi:
+        kept = np.concatenate([sq[(sq >= lo) & (sq < hi)] for sq in _pair_sq(p)])
+        middle = np.partition(kept, (k1 - below, k2 - below))[[k1 - below, k2 - below]]
+    else:  # [lo, hi) holds one float: every pair in it equals lo
+        middle = np.array([lo, lo])
+    return max(0.5 * float(np.median(np.sqrt(middle))), 1e-12)
 
 
 def mmd_squared(z1, x1, a1, z2, x2, a2) -> float:
@@ -93,6 +166,9 @@ def mmd_squared(z1, x1, a1, z2, x2, a2) -> float:
     Product kernel: RBF on z, RBF on x, exact match on a. Bandwidths are
     half the median pairwise distance over the stacked union, per part.
     All three terms drop the diagonal, so identical inputs give exactly 0.
+    The sums run over row blocks of the upper triangle, in memory linear
+    in n; when both samples carry the same x and a, one (x, a) factor per
+    block serves all four kernel blocks.
     """
     z1 = np.asarray(z1, dtype=np.float64).reshape(-1, 1)
     z2 = np.asarray(z2, dtype=np.float64).reshape(-1, 1)
@@ -103,22 +179,45 @@ def mmd_squared(z1, x1, a1, z2, x2, a2) -> float:
     n = z1.shape[0]
     if n < 2 or z2.shape[0] != n:
         raise ContractError("mmd_squared needs two samples of equal size >= 2")
-    bw_z = _median_bandwidth(np.vstack([z1, z2]))
-    bw_x = _median_bandwidth(np.vstack([x1, x2]))
+    zs, xs = np.vstack([z1, z2]), np.vstack([x1, x2])
+    with np.errstate(over="ignore", invalid="ignore"):  # nan, inf and overflow fail below
+        reach = 4.0 * max(float(np.max(np.sum(v * v, axis=1))) for v in (zs, xs))
+    if not math.isfinite(reach):  # the median cuts need every pairwise distance finite
+        raise NumericError("mmd_squared needs finite inputs whose squared distances "
+                           "fit in float64")
+    bw_z = _median_bandwidth(zs)
+    bw_x = _median_bandwidth(xs)
+    z = (_gram_parts(z1), _gram_parts(z2))
+    x = (_gram_parts(x1), _gram_parts(x2))
+    a = (a1, a2)
+    shared = np.array_equal(x1, x2) and np.array_equal(a1, a2)
 
-    def kernel(za, xa, aa, zb, xb, ab):
-        k = np.exp(-_sq_dists(za, zb) / (2.0 * bw_z * bw_z))
-        k *= np.exp(-_sq_dists(xa, xb) / (2.0 * bw_x * bw_x))
-        k *= (aa[:, None] == ab[None, :]).astype(np.float64)
+    def kz(i, j, rows, cols):
+        sq = _sq_block(z[i], z[j], rows, cols)
+        return np.exp(np.divide(sq, -2.0 * bw_z * bw_z, out=sq), out=sq)
+
+    def kxa(i, j, rows, cols):
+        sq = _sq_block(x[i], x[j], rows, cols)
+        k = np.exp(np.divide(sq, -2.0 * bw_x * bw_x, out=sq), out=sq)
+        k *= a[i][rows, None] == a[j][None, cols]
         return k
 
-    def offdiag_mean(k):
-        return (np.sum(k) - np.trace(k)) / (n * (n - 1))
-
-    s11 = offdiag_mean(kernel(z1, x1, a1, z1, x1, a1))
-    s22 = offdiag_mean(kernel(z2, x2, a2, z2, x2, a2))
-    s12 = offdiag_mean(kernel(z1, x1, a1, z2, x2, a2))
-    return float(s11 + s22 - 2.0 * s12)
+    # sum over i < j of k11 + k22 - k12 - k21, the U-statistic kernel
+    total = 0.0
+    for rows, cols in _upper_blocks(n):
+        if shared:
+            h = kz(0, 0, rows, cols)
+            h += kz(1, 1, rows, cols)
+            h -= kz(0, 1, rows, cols)
+            h -= kz(1, 0, rows, cols)
+            h *= kxa(0, 0, rows, cols)
+        else:
+            h = kz(0, 0, rows, cols) * kxa(0, 0, rows, cols)
+            h += kz(1, 1, rows, cols) * kxa(1, 1, rows, cols)
+            h -= kz(0, 1, rows, cols) * kxa(0, 1, rows, cols)
+            h -= kz(1, 0, rows, cols) * kxa(1, 0, rows, cols)
+        total += float(np.sum(_strict_upper(h, 0.0)))
+    return 2.0 * total / (n * (n - 1))
 
 
 def mmd_a3_test(model: FlowModel, ds: CausalDataset,

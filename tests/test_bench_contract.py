@@ -76,23 +76,34 @@ def test_bench_workloads_reach_what_they_name():
     assert calls > 20  # the workloads still reach the package through these names
 
 
+def _count_calls(monkeypatch, calls: dict, module, name: str) -> None:
+    inner = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls[name] = calls.get(name, 0) + 1
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+
+
 def test_train_reaches_loss_and_tape_through_module_attributes(monkeypatch):
     # the tracer patches these three attributes to split training time by layer
     calls = {}
-
-    def counting(module, name):
-        inner = getattr(module, name)
-
-        def wrapper(*args, **kwargs):
-            calls[name] = calls.get(name, 0) + 1
-            return inner(*args, **kwargs)
-
-        monkeypatch.setattr(module, name, wrapper)
-
     for module, name in ((cfm_train, "cfm_loss"), (numkit, "tape_forward"),
                          (numkit, "tape_backward")):
-        counting(module, name)
+        _count_calls(monkeypatch, calls, module, name)
     ds = scm_data.generate_ihdp_like(scm_data.default_config(n=60, d_x=2, seed=0))
     cfm_train.train(ds, velocity_net.NetConfig(d_x=2),
                     cfm_train.TrainConfig(batch_size=16, max_iters=3))
     assert calls == {"cfm_loss": 3, "tape_forward": 3, "tape_backward": 3}
+
+
+def test_a3_test_reaches_mmd_through_the_module_attribute(monkeypatch):
+    # the tracer patches metrics.mmd_squared for the a3test time and peak memory
+    calls = {}
+    _count_calls(monkeypatch, calls, metrics, "mmd_squared")
+    ds = scm_data.generate_ihdp_like(scm_data.default_config(n=40, d_x=2, seed=0))
+    model = velocity_net.FlowModel(net=velocity_net.init(velocity_net.NetConfig(d_x=2)),
+                                   scaler=scm_data.standardize(ds)[1])
+    metrics.mmd_a3_test(model, ds, ode_engine.OdeConfig(n_steps=2))
+    assert calls == {"mmd_squared": 2}

@@ -455,7 +455,11 @@ _EXIT_2_CASES = {
                                   "dgp.cfg: n * d_x"),
     "train-batch-size-past-byte-cap": ({"tr.cfg": b"max_iters = 2\nbatch_size = 1000000000000\n"},
                                        "train --data {data} --out {d}/m2.json "
-                                       "--train-config {d}/tr.cfg", "batch_size"),
+                                       "--train-config {d}/tr.cfg", "tr.cfg: batch_size"),
+    "eval-folds-batch-times-net-width-past-byte-cap": (
+        {"tr.cfg": b"batch_size = 2000000\n", "net.cfg": b"hidden_dim = 100\n"},
+        "eval --folds 2 --data {data} --out {d}/e.json --train-config {d}/tr.cfg "
+        "--net-config {d}/net.cfg", "tr.cfg: batch_size * net width"),
     "net-hidden-dim-past-byte-cap": ({"net.cfg": b"hidden_dim = 100000000\n"},
                                      "train --data {data} --out {d}/m2.json "
                                      "--net-config {d}/net.cfg", "net.cfg: param_count of hidden_dim"),
@@ -554,6 +558,23 @@ def test_failed_manifest_write_exits_3_and_prints_no_summary(small_run, tmp_path
     stdout, err = capsys.readouterr()
     assert stdout == "" and err.startswith("io error:")
     assert out.exists()
+
+
+@pytest.mark.parametrize("message", ["Unable to allocate 3.20 GiB for an array", ""])
+def test_memory_error_exits_4_with_one_line_and_no_manifest(tmp_path, monkeypatch, capsys,
+                                                             message):
+    def out_of_memory(args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "cmd_a3test", out_of_memory)
+    out = tmp_path / "a.json"
+    rc = cli.main(["a3test", "--model", "m.json", "--data", "d.csv", "--out", str(out)])
+    assert rc == 4
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and err.count("\n") == 1
+    assert err.startswith("out of memory in a3test: ") and "Traceback" not in err
+    assert (message or "allocation failed") in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_bare_value_error_in_a_command_is_not_a_user_error(tmp_path, monkeypatch):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from helpers import linear_net
 from causalflow import causal_api as api
 from causalflow import metrics as mt
 from causalflow import velocity_net as vn
-from causalflow.errors import ContractError, DimensionError
+from causalflow.errors import ContractError, DimensionError, NumericError
 from causalflow.scm_data import (CausalDataset, Scaler, default_config,
                                  generate_ihdp_like, split, structural_mean)
 
@@ -32,11 +33,6 @@ def test_wasserstein1_equal_sizes_hand_value():
     assert mt.wasserstein1([5.0], [5.0]) == 0.0
 
 
-def test_wasserstein1_unequal_hand_value():
-    # half the mass moves from 0 to 1
-    assert mt.wasserstein1([0.0], [0.0, 1.0]) == pytest.approx(0.5)
-
-
 def test_wasserstein1_matches_brute_force_assignment():
     rng = np.random.default_rng(0)
     for _ in range(20):
@@ -50,15 +46,10 @@ def test_wasserstein1_matches_brute_force_assignment():
         assert abs(mt.wasserstein1(u, v) - best) <= 1e-12
 
 
-def test_wasserstein1_unequal_sizes_by_replication():
-    rng = np.random.default_rng(1)
-    for _ in range(10):
-        u = rng.standard_normal(int(rng.integers(2, 5)))
-        v = rng.standard_normal(int(rng.integers(5, 9)))
-        direct = mt.wasserstein1(u, v)
-        lifted = mt.wasserstein1(np.repeat(u, v.size), np.repeat(v, u.size))
-        assert abs(direct - lifted) <= 1e-12
-        assert abs(direct - mt.wasserstein1(v, u)) <= 1e-12
+def test_wasserstein1_rejects_unequal_sizes():
+    for u, v in (([0.0], [0.0, 1.0]), ([1.0, 2.0, 3.0], [1.0, 2.0])):
+        with pytest.raises(ContractError, match="equal size"):
+            mt.wasserstein1(u, v)
 
 
 def test_wasserstein1_shift():
@@ -151,6 +142,9 @@ def test_mmd_symmetry_and_validation():
     assert fwd == pytest.approx(rev, abs=1e-15)
     with pytest.raises(ContractError):
         mt.mmd_squared([1.0], x[:1], a[:1], [2.0], x[:1], a[:1])
+    for bad in (math.nan, math.inf, 1e200):
+        with pytest.raises(NumericError):
+            mt.mmd_squared(np.append(z1[1:], bad), x, a, z2, x, a)
 
 
 def test_mmd_a3_perfect_model_near_sampling_floor():
@@ -252,10 +246,12 @@ def test_sq_dists_matches_direct_differences():
     rng = np.random.default_rng(8)
     A, B = rng.standard_normal((30, 4)), rng.standard_normal((20, 4)) + 1.0
     direct = np.sum((A[:, None, :] - B[None, :, :]) ** 2, axis=2)
-    got = mt._sq_dists(A, B)
+    pa, pb = mt._gram_parts(A), mt._gram_parts(B)
+    got = mt._sq_block(pa, pb, slice(None), slice(None))
     assert got.shape == (30, 20)
     np.testing.assert_allclose(got, direct, rtol=1e-12, atol=1e-12)
-    assert np.all(mt._sq_dists(A, A) >= 0.0)
+    np.testing.assert_array_equal(mt._sq_block(pa, pb, slice(3, 9), slice(5, 20)), got[3:9, 5:])
+    assert np.all(mt._sq_block(pa, pa, slice(None), slice(None)) >= 0.0)
 
 
 @pytest.mark.parametrize("seed", [74, 148])
@@ -267,3 +263,72 @@ def test_mmd_equal_valued_copies_is_exactly_zero(seed):
     z, x = rng.standard_normal(n), rng.standard_normal((n, d))
     a = rng.integers(0, 2, n)
     assert mt.mmd_squared(z, x, a, z.copy(), x.copy(), a.copy()) == 0.0
+
+
+def _dense_sq(values):
+    # the Gram formula on the whole (n, n) matrix, as mmd_squared computed it unblocked
+    gram = values @ values.T.copy()
+    norms = np.sum(values * values, axis=1)
+    return np.maximum(norms[:, None] + norms[None, :] - 2.0 * gram, 0.0)
+
+
+def _dense_bandwidth(values):
+    sq = _dense_sq(values)
+    return max(0.5 * float(np.median(np.sqrt(sq[np.triu_indices(values.shape[0], k=1)]))), 1e-12)
+
+
+def _dense_mmd(z1, x1, a1, z2, x2, a2):
+    # the U-statistic kernel h_ij = k11 + k22 - k12 - k21 on whole matrices, summed exactly
+    z, x, a = np.concatenate([z1, z2])[:, None], np.vstack([x1, x2]), np.concatenate([a1, a2])
+    bz, bx = _dense_bandwidth(z), _dense_bandwidth(x)
+    k = (np.exp(-_dense_sq(z) / (2.0 * bz * bz)) * np.exp(-_dense_sq(x) / (2.0 * bx * bx))
+         * (a[:, None] == a[None, :]))
+    n = len(z1)
+    h = k[:n, :n] + k[n:, n:] - k[:n, n:] - k[n:, :n]
+    np.fill_diagonal(h, 0.0)
+    return math.fsum(h.ravel()) / (n * (n - 1))
+
+
+# Point counts around the edge of one block (a full (m, m) block takes
+# _BLOCK_BYTES), around the subsample size, and where every pair is kept
+# (m(m-1)/2 <= _KEEP_PER_POINT * m); the pair count is odd at 2, 3, 6, 66, 127.
+_EDGE = math.isqrt(mt._BLOCK_BYTES // 8)
+_SIZES = sorted({2, 3, 4, 6, 65, 66, 67, _EDGE - 1, _EDGE, _EDGE + 1,
+                 mt._SUBSAMPLE, mt._SUBSAMPLE + 1, 1001})
+
+
+@pytest.mark.parametrize("d", [1, 10])
+@pytest.mark.parametrize("n", _SIZES)
+def test_median_bandwidth_is_bit_equal_to_dense_median(n, d):
+    rng = np.random.default_rng([n, d])
+    for values in (rng.standard_normal((n, d)),
+                   rng.integers(0, 3, (n, d)).astype(np.float64),  # many tied distances
+                   np.abs(rng.standard_normal((n, d))) ** 3):  # skewed distances
+        assert mt._median_bandwidth(values) == _dense_bandwidth(values)
+
+
+@pytest.mark.parametrize("shared", [True, False])
+@pytest.mark.parametrize("n", [2, 3, _EDGE + 1, 300])
+def test_mmd_matches_dense_reference(n, shared):
+    rng = np.random.default_rng([n, shared])
+    z1, z2 = rng.standard_normal(n), 1.1 * rng.standard_normal(n)
+    x1, a1 = rng.standard_normal((n, 4)), rng.integers(0, 2, n)
+    x2, a2 = (x1.copy(), a1.copy()) if shared else (rng.standard_normal((n, 4)),
+                                                    rng.integers(0, 2, n))
+    want = _dense_mmd(z1, x1, a1, z2, x2, a2)
+    assert mt.mmd_squared(z1, x1, a1, z2, x2, a2) == pytest.approx(want, rel=1e-12)
+
+
+def test_mmd_memory_is_linear_in_n():
+    # the unblocked sums held several (2n, 2n) float64 arrays: about 0.9 GB at n = 3,000
+    rng = np.random.default_rng(3)
+    n = 3000
+    z1, z2 = rng.standard_normal(n), rng.standard_normal(n)
+    x, a = rng.standard_normal((n, 10)), rng.integers(0, 2, n)
+    tracemalloc.start()
+    try:
+        mt.mmd_squared(z1, x, a, z2, x, a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
