@@ -66,7 +66,7 @@ def _gh_kl(y: np.ndarray, log_p: np.ndarray, mu: np.ndarray, sd: float) -> float
 # Bytes of one (rows, cols) float64 block in mmd_squared's passes, which hold
 # a few such temporaries at a time, so memory stays flat in n. At 128 KB a
 # temporary stays under glibc's mmap threshold and reuses heap chunks; with
-# 1-2 MB blocks, page faults made mmd_squared at n = 1,000 1.4-1.9x slower.
+# 1-2 MB blocks, mmd_squared at n = 1,000 ran 1.4-1.8x slower.
 _BLOCK_BYTES = 1 << 17
 _SUBSAMPLE = 256  # points whose pairwise distances place the first median cuts
 # Their quantile levels: fine near the median, and wide enough to hold it
@@ -125,21 +125,34 @@ def _median_bandwidth(values: np.ndarray) -> float:
 
     Bit for bit 0.5 * np.median(np.sqrt(sq[triu])) over the Gram-formula
     squared distances, without storing the pairs: sqrt is monotone, so the
-    two middle order statistics are found on sq. Counting passes narrow a
-    bracket [lo, hi) around their ranks, starting from cuts that a strided
-    point subsample places. Once the bracket holds at most _KEEP_PER_POINT
-    pairs per point, one more pass keeps them for np.partition.
+    two middle order statistics are found on sq. Up to _SUBSAMPLE points,
+    the subsample below is every point and holds every pair.
     """
-    p = _gram_parts(values)
     n = values.shape[0]
     total = n * (n - 1) // 2
     k1, k2 = (total - 1) // 2, total // 2  # np.median's middle ranks, equal when odd
     sub = _gram_parts(values[::-(-n // _SUBSAMPLE)])
     sub_sq = _sq_block(sub, sub, slice(None), slice(None))
     sub_sq = sub_sq[np.triu_indices(sub_sq.shape[0], k=1)]
+    if sub_sq.size == total:
+        middle = np.partition(sub_sq, (k1, k2))[[k1, k2]]
+    else:
+        middle = _pair_order_stats(_gram_parts(values), sub_sq, k1, k2)
+    return max(0.5 * float(np.median(np.sqrt(middle))), 1e-12)
+
+
+def _pair_order_stats(p, sub_sq: np.ndarray, k1: int, k2: int) -> np.ndarray:
+    """The k1-th and k2-th smallest (k1 <= k2 adjacent) pairwise squared distances of p's points.
+
+    Counting passes narrow a bracket [lo, hi) around both ranks, starting
+    from cuts that the subsample's pairs sub_sq place. Once the bracket holds
+    at most _KEEP_PER_POINT pairs per point, one more pass keeps them for
+    np.partition.
+    """
+    n = p[0].shape[0]
     at = np.rint(_CUT_LEVELS * (sub_sq.size - 1)).astype(np.intp)
     cuts = np.partition(sub_sq, at)[at]
-    lo, hi, below, mass = 0.0, math.inf, 0, total  # below: pairs < lo; mass: pairs in [lo, hi)
+    lo, hi, below, mass = 0.0, math.inf, 0, n * (n - 1) // 2  # pairs < lo; pairs in [lo, hi)
     while mass > _KEEP_PER_POINT * n and np.nextafter(lo, math.inf) < hi:
         cuts = np.unique(cuts[(cuts > lo) & (cuts < hi)])
         counts, top = np.zeros(cuts.size, dtype=np.int64), lo
@@ -152,12 +165,10 @@ def _median_bandwidth(values: np.ndarray) -> float:
         b = int(np.searchsorted(cum, k2, side="right"))
         lo, hi, below, mass = float(edges[a]), float(edges[b]), int(cum[a]), int(cum[b] - cum[a])
         cuts = np.append(np.nextafter(lo, math.inf), np.linspace(lo, hi, 9)[1:-1])
-    if np.nextafter(lo, math.inf) < hi:
-        kept = np.concatenate([sq[(sq >= lo) & (sq < hi)] for sq in _pair_sq(p)])
-        middle = np.partition(kept, (k1 - below, k2 - below))[[k1 - below, k2 - below]]
-    else:  # [lo, hi) holds one float: every pair in it equals lo
-        middle = np.array([lo, lo])
-    return max(0.5 * float(np.median(np.sqrt(middle))), 1e-12)
+    if np.nextafter(lo, math.inf) >= hi:  # [lo, hi) holds one float: every pair in it is lo
+        return np.array([lo, lo])
+    kept = np.concatenate([sq[(sq >= lo) & (sq < hi)] for sq in _pair_sq(p)])
+    return np.partition(kept, (k1 - below, k2 - below))[[k1 - below, k2 - below]]
 
 
 def mmd_squared(z1, x1, a1, z2, x2, a2) -> float:

@@ -289,17 +289,23 @@ def _dense_mmd(z1, x1, a1, z2, x2, a2):
     return math.fsum(h.ravel()) / (n * (n - 1))
 
 
-# Point counts around the edge of one block (a full (m, m) block takes
-# _BLOCK_BYTES), around the subsample size, and where every pair is kept
-# (m(m-1)/2 <= _KEEP_PER_POINT * m); the pair count is odd at 2, 3, 6, 66, 127.
+# Point counts where the subsample stops holding every point, where every
+# pair is kept (m(m-1)/2 <= 32 m) and where one kernel block stops covering
+# the (n, n) matrix; the pair count is odd at 2, 3, 6, 66, 127 and 1001.
 _EDGE = math.isqrt(mt._BLOCK_BYTES // 8)
-_SIZES = sorted({2, 3, 4, 6, 65, 66, 67, _EDGE - 1, _EDGE, _EDGE + 1,
+_SIZES = sorted({2, 3, 4, 6, 65, 66, _EDGE - 1, _EDGE, _EDGE + 1,
                  mt._SUBSAMPLE, mt._SUBSAMPLE + 1, 1001})
+# The shipped constants, and shrunk ones under which small inputs take
+# 2-row blocks and several counting passes that refine the bracket.
+_TINY = {"_BLOCK_BYTES": 8 * 40, "_SUBSAMPLE": 16, "_KEEP_PER_POINT": 2}
 
 
+@pytest.mark.parametrize("tiny", [False, True])
 @pytest.mark.parametrize("d", [1, 10])
 @pytest.mark.parametrize("n", _SIZES)
-def test_median_bandwidth_is_bit_equal_to_dense_median(n, d):
+def test_median_bandwidth_is_bit_equal_to_dense_median(monkeypatch, n, d, tiny):
+    for name, value in _TINY.items() if tiny else ():
+        monkeypatch.setattr(mt, name, value)
     rng = np.random.default_rng([n, d])
     for values in (rng.standard_normal((n, d)),
                    rng.integers(0, 3, (n, d)).astype(np.float64),  # many tied distances
@@ -307,9 +313,12 @@ def test_median_bandwidth_is_bit_equal_to_dense_median(n, d):
         assert mt._median_bandwidth(values) == _dense_bandwidth(values)
 
 
+@pytest.mark.parametrize("tiny", [False, True])
 @pytest.mark.parametrize("shared", [True, False])
-@pytest.mark.parametrize("n", [2, 3, _EDGE + 1, 300])
-def test_mmd_matches_dense_reference(n, shared):
+@pytest.mark.parametrize("n", [2, 3, _EDGE, _EDGE + 1, 300])
+def test_mmd_matches_dense_reference(monkeypatch, n, shared, tiny):
+    for name, value in _TINY.items() if tiny else ():
+        monkeypatch.setattr(mt, name, value)
     rng = np.random.default_rng([n, shared])
     z1, z2 = rng.standard_normal(n), 1.1 * rng.standard_normal(n)
     x1, a1 = rng.standard_normal((n, 4)), rng.integers(0, 2, n)
