@@ -289,15 +289,15 @@ def _dense_mmd(z1, x1, a1, z2, x2, a2):
     return math.fsum(h.ravel()) / (n * (n - 1))
 
 
-# Point counts where the subsample stops holding every point, where every
-# pair is kept (m(m-1)/2 <= 32 m) and where one kernel block stops covering
-# the (n, n) matrix; the pair count is odd at 2, 3, 6, 66, 127 and 1001.
-_EDGE = math.isqrt(mt._BLOCK_BYTES // 8)
-_SIZES = sorted({2, 3, 4, 6, 65, 66, _EDGE - 1, _EDGE, _EDGE + 1,
-                 mt._SUBSAMPLE, mt._SUBSAMPLE + 1, 1001})
 # The shipped constants, and shrunk ones under which small inputs take
 # 2-row blocks and several counting passes that refine the bracket.
 _TINY = {"_BLOCK_BYTES": 8 * 40, "_SUBSAMPLE": 16, "_KEEP_PER_POINT": 2}
+# Point counts on both sides of either subsample size (up to it, the
+# subsample holds every pair) and of one full (m, m) block; the pair count
+# is odd at 2, 3, 6, 127 and 1002, even elsewhere.
+_EDGE = math.isqrt(mt._BLOCK_BYTES // 8)
+_SIZES = sorted({2, 3, 4, 6, _TINY["_SUBSAMPLE"], _TINY["_SUBSAMPLE"] + 1, _EDGE - 1, _EDGE,
+                 _EDGE + 1, mt._SUBSAMPLE, mt._SUBSAMPLE + 1, 1002})
 
 
 @pytest.mark.parametrize("tiny", [False, True])
