@@ -147,7 +147,9 @@ def _pair_order_stats(p, sub_sq: np.ndarray, k1: int, k2: int) -> np.ndarray:
     Counting passes narrow a bracket [lo, hi) around both ranks, starting
     from cuts that the subsample's pairs sub_sq place. Once the bracket holds
     at most _KEEP_PER_POINT pairs per point, one more pass keeps them for
-    np.partition.
+    np.partition. Each pass moves lo or hi past every cut, except a cut with
+    exactly k2 pairs below it when k1 < k2: the two ranks straddle it, and
+    one more pass takes the largest pair below it and the smallest above.
     """
     n = p[0].shape[0]
     at = np.rint(_CUT_LEVELS * (sub_sq.size - 1)).astype(np.intp)
@@ -157,10 +159,12 @@ def _pair_order_stats(p, sub_sq: np.ndarray, k1: int, k2: int) -> np.ndarray:
         cuts = np.unique(cuts[(cuts > lo) & (cuts < hi)])
         counts, top = np.zeros(cuts.size, dtype=np.int64), lo
         for sq in _pair_sq(p):
-            counts += [np.count_nonzero(sq < c) for c in cuts]
+            counts += np.array([np.count_nonzero(sq < c) for c in cuts], dtype=np.int64)
             top = max(top, float(np.fmax.reduce(sq, axis=None)))
         edges = [lo, *cuts, min(hi, np.nextafter(top, math.inf))]
         cum = [below, *counts, below + mass]
+        if k1 < k2 and k2 in cum:
+            return _straddle(p, float(edges[cum.index(k2)]))
         a = int(np.searchsorted(cum, k1, side="right")) - 1
         b = int(np.searchsorted(cum, k2, side="right"))
         lo, hi, below, mass = float(edges[a]), float(edges[b]), int(cum[a]), int(cum[b] - cum[a])
@@ -169,6 +173,15 @@ def _pair_order_stats(p, sub_sq: np.ndarray, k1: int, k2: int) -> np.ndarray:
         return np.array([lo, lo])
     kept = np.concatenate([sq[(sq >= lo) & (sq < hi)] for sq in _pair_sq(p)])
     return np.partition(kept, (k1 - below, k2 - below))[[k1 - below, k2 - below]]
+
+
+def _straddle(p, cut: float) -> np.ndarray:
+    """The largest pairwise squared distance below cut and the smallest at or above it."""
+    low, high = -math.inf, math.inf
+    for sq in _pair_sq(p):  # NaN fails both comparisons
+        low = max(low, float(np.max(sq, where=sq < cut, initial=-math.inf)))
+        high = min(high, float(np.min(sq, where=sq >= cut, initial=math.inf)))
+    return np.array([low, high])
 
 
 def mmd_squared(z1, x1, a1, z2, x2, a2) -> float:

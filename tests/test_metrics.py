@@ -314,6 +314,24 @@ def test_median_bandwidth_is_bit_equal_to_dense_median(monkeypatch, n, d, tiny):
 
 
 @pytest.mark.parametrize("tiny", [False, True])
+@pytest.mark.parametrize("n, zeros", [(25, 15), (289, 153)])
+def test_median_bandwidth_ranks_straddling_a_gap(monkeypatch, n, zeros, tiny):
+    # Points on {0, 1} with as many pairs within a value as across: the two
+    # middle ranks are 0 and 1, and no cut strictly between them moves either
+    # end of the bracket, which once made the counting passes loop forever.
+    for name, value in _TINY.items() if tiny else ():
+        monkeypatch.setattr(mt, name, value)
+    values = np.repeat([0.0, 1.0], [zeros, n - zeros])[:, None]
+    assert mt._median_bandwidth(values) == _dense_bandwidth(values) == 0.25
+    # a3test at 288 rows of one binary covariate, 150 at 0, stacks 576 points, 300 at 0
+    rng = np.random.default_rng(n)
+    x, a = np.repeat([0.0, 1.0], [150, 138])[:, None], rng.integers(0, 2, 288)
+    z1, z2 = rng.standard_normal(288), rng.standard_normal(288)
+    want = _dense_mmd(z1, x, a, z2, x, a)
+    assert mt.mmd_squared(z1, x, a, z2, x, a) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("tiny", [False, True])
 @pytest.mark.parametrize("shared", [True, False])
 @pytest.mark.parametrize("n", [2, 3, _EDGE, _EDGE + 1, 300])
 def test_mmd_matches_dense_reference(monkeypatch, n, shared, tiny):
