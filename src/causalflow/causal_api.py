@@ -67,7 +67,10 @@ def decode_nodes(model: FlowModel, x, a, z, ode_cfg: oe.OdeConfig = oe.OdeConfig
     shaped (n, k), or (y, log p) when log_p is set.
     """
     x = _check_x(model, x)
-    n, k = x.shape[0], np.shape(z)[-1]
+    n = x.shape[0]
+    if np.ndim(z) not in (1, 2):
+        raise DimensionError(f"nodes have shape {np.shape(z)}, expected (k,) or ({n}, k)")
+    k = np.shape(z)[-1]
     a = _check_a(a, n)
     try:
         zs = np.broadcast_to(z, (n, k)).reshape(-1)

@@ -7,7 +7,9 @@ projected to one head per treatment arm. core_forward is the one definition
 of that recipe, and it runs on three ops backends: plain numpy for
 inference, numpy with forward-mode tangents (DualOps) for the exact dv/dy
 of log-densities, and the reverse-mode numkit.Tape for training. All three
-produce identical velocities.
+produce identical velocities. core_forward is head over cond_projections,
+the part that depends on (x, a, t) alone, so an integration's evaluator
+computes that part once per stage time.
 """
 
 from __future__ import annotations
@@ -24,12 +26,15 @@ from .scm_data import Scaler, check_array_bytes, write_json
 
 MODEL_FORMAT_VERSION = 1
 _T_TOL = 1e-9
-# Rows per network pass. At the default width (d_x=10, hidden 11) a 1024-row
-# temporary takes 90 KB, under glibc's 128 KB mmap threshold, so the
-# allocator reuses heap chunks. At 2048 rows (180 KB), whether every pass
-# page-faulted its temporaries afresh depended on the allocator's history,
-# and one cate query took 1.6 s or 2.8 s from one process to the next.
+# Rows per network pass (block_rows): at most _ROW_BLOCK, and fewer when the
+# widest (rows, max(hidden, cond_dim)) temporary would pass _PASS_BYTES,
+# glibc's 128 KB mmap threshold, under which the allocator reuses heap
+# chunks. At the default width (d_x=10, 12 columns) 1024 rows take 96 KB.
+# At 2048 rows (180 KB), whether every pass page-faulted its temporaries
+# afresh depended on the allocator's history, and one cate query took 1.6 s
+# or 2.8 s from one process to the next.
 _ROW_BLOCK = 1024
+_PASS_BYTES = 128 * 1024
 _RES_BLOCKS = 2
 
 
@@ -165,11 +170,10 @@ def cond_features(x: np.ndarray, a: np.ndarray, ts: np.ndarray, cfg: NetConfig) 
 
 
 class _NumpyOps:
-    matmul = staticmethod(lambda a, b: a @ b)
-    add = staticmethod(lambda a, b: a + b)
-    badd = staticmethod(lambda m, bias: m + bias)
-    mul = staticmethod(lambda a, b: a * b)
-    tanh = staticmethod(np.tanh)
+    matmul = operator.matmul
+    add = badd = operator.add
+    mul = operator.mul
+    tanh = np.tanh
     sigmoid = staticmethod(sigmoid_kernel)
 
     @staticmethod
@@ -223,27 +227,48 @@ class DualOps:
     halve = _chain(_NumpyOps.halve, lambda _: 0.5)
 
 
-def core_forward(ops, p, y_col, c, cfg: NetConfig):
-    """Both-arm output (n, 2); p maps names to backend values."""
-    h = ops.badd(ops.matmul(y_col, p["embed_w"]), p["embed_b"])
+# per residual block, the (w1c, w1h, b1, w2, b2) names of its gate and of its value
+_BLOCK_NAMES = tuple(tuple(tuple(f"block{i}_{part}_{k}" for k in ("w1c", "w1h", "b1", "w2", "b2"))
+                           for part in ("gate", "value"))
+                     for i in range(_RES_BLOCKS))
+_BIAS_NAMES = tuple(name for name, _, is_bias in layer_shapes(NetConfig(d_x=1)) if is_bias)
+
+
+def cond_projections(ops, p, c):
+    """The six products of the conditioning matrix c that core_forward uses.
+
+    Returns the FiLM scale and shift, biases added, and per residual block
+    the c-projections of its gate and of its value. They depend on (x, a, t)
+    alone, not on y.
+    """
     scale = ops.badd(ops.matmul(c, p["film_scale_w"]), p["film_scale_b"])
     shift = ops.badd(ops.matmul(c, p["film_shift_w"]), p["film_shift_b"])
+    return scale, shift, [(ops.matmul(c, p[gate[0]]), ops.matmul(c, p[value[0]]))
+                          for gate, value in _BLOCK_NAMES]
+
+
+def head(ops, p, y_col, proj):
+    """Both-arm output (n, 2) from y and the cond_projections of its rows."""
+    scale, shift, block_c = proj
+    h = ops.badd(ops.matmul(y_col, p["embed_w"]), p["embed_b"])
     h = ops.add(ops.mul(scale, h), shift)
-    for i in range(_RES_BLOCKS):
-        pre_g = ops.tanh(ops.badd(
-            ops.add(ops.matmul(c, p[f"block{i}_gate_w1c"]),
-                    ops.matmul(h, p[f"block{i}_gate_w1h"])),
-            p[f"block{i}_gate_b1"]))
-        g = ops.sigmoid(ops.badd(ops.matmul(pre_g, p[f"block{i}_gate_w2"]),
-                                 p[f"block{i}_gate_b2"]))
-        pre_v = ops.tanh(ops.badd(
-            ops.add(ops.matmul(c, p[f"block{i}_value_w1c"]),
-                    ops.matmul(h, p[f"block{i}_value_w1h"])),
-            p[f"block{i}_value_b1"]))
-        v = ops.badd(ops.matmul(pre_v, p[f"block{i}_value_w2"]),
-                     p[f"block{i}_value_b2"])
+    for (gate_c, value_c), (gate, value) in zip(block_c, _BLOCK_NAMES):
+        pre_g = ops.tanh(ops.badd(ops.add(gate_c, ops.matmul(h, p[gate[1]])), p[gate[2]]))
+        g = ops.sigmoid(ops.badd(ops.matmul(pre_g, p[gate[3]]), p[gate[4]]))
+        pre_v = ops.tanh(ops.badd(ops.add(value_c, ops.matmul(h, p[value[1]])), p[value[2]]))
+        v = ops.badd(ops.matmul(pre_v, p[value[3]]), p[value[4]])
         h = ops.halve(ops.add(h, ops.mul(g, v)))
     return ops.badd(ops.matmul(h, p["proj_w"]), p["proj_b"])
+
+
+def core_forward(ops, p, y_col, c, cfg: NetConfig):
+    """Both-arm output (n, 2); p maps names to backend values."""
+    return head(ops, p, y_col, cond_projections(ops, p, c))
+
+
+def block_rows(cfg: NetConfig) -> int:
+    """Rows per network pass: _ROW_BLOCK, or fewer so the widest temporary fits _PASS_BYTES."""
+    return max(1, min(_ROW_BLOCK, _PASS_BYTES // (8 * max(cfg.hidden, cfg.cond_dim))))
 
 
 def _per_row(v, n: int, name: str) -> np.ndarray:
@@ -268,25 +293,23 @@ def _check_cond(net: VelocityNet, n: int, x, a) -> tuple[np.ndarray, np.ndarray]
     return x, a
 
 
-def _blocks(net: VelocityNet, ys: np.ndarray, c: np.ndarray, arm1: np.ndarray, tangent: bool):
-    """Selected-arm velocity, and with tangent also its forward-mode dv/dy.
+def _arm(out, arm1: np.ndarray, tangent: bool):
+    """The selected arm's column of a both-arm output, with its tangent's."""
+    if tangent:
+        both, dboth = out
+        return np.where(arm1, both[:, 1], both[:, 0]), np.where(arm1, dboth[:, 1], dboth[:, 0])
+    return np.where(arm1, out[:, 1], out[:, 0])
 
-    Rows pass through the network in blocks of _ROW_BLOCK. Rows are
-    independent, so the result equals one pass over all rows bit for bit,
-    while temporaries stay cache-sized however many rows a call carries.
-    """
-    v = np.empty(ys.shape[0])
-    dv = np.empty(ys.shape[0]) if tangent else None
-    for lo in range(0, ys.shape[0], _ROW_BLOCK):
-        rows = slice(lo, lo + _ROW_BLOCK)
-        y_col = ys[rows].reshape(-1, 1)
+
+def _assemble(n: int, tangent: bool, blocks):
+    """The (n,) velocity, and with tangent also dv/dy, from (rows, result) blocks."""
+    v = np.empty(n)
+    dv = np.empty(n) if tangent else None
+    for rows, out in blocks:
         if tangent:
-            both, dboth = core_forward(DualOps, net.params, (y_col, np.ones_like(y_col)),
-                                       c[rows], net.cfg)
-            dv[rows] = np.where(arm1[rows], dboth[:, 1], dboth[:, 0])
+            v[rows], dv[rows] = out
         else:
-            both = core_forward(_NumpyOps, net.params, y_col, c[rows], net.cfg)
-        v[rows] = np.where(arm1[rows], both[:, 1], both[:, 0])
+            v[rows] = out
     return (v, dv) if tangent else v
 
 
@@ -294,6 +317,8 @@ def forward_batch(net: VelocityNet, ys, ts, x, a, tangent: bool = False):
     """Velocity of the selected arm for each row, after checking every input.
 
     With tangent, returns (v, dv/dy), the derivative taken by forward mode.
+    Rows pass through the network in blocks of block_rows. Rows are
+    independent, so the result equals one pass over all rows bit for bit.
     """
     ys = np.asarray(ys, dtype=np.float64).reshape(-1)
     n = ys.shape[0]
@@ -302,27 +327,72 @@ def forward_batch(net: VelocityNet, ys, ts, x, a, tangent: bool = False):
     if n and (ts.min() < -_T_TOL or ts.max() > 1.0 + _T_TOL):
         raise ContractError(f"t outside [0, 1]: range [{ts.min()}, {ts.max()}]")
     c = cond_features(x, a, np.clip(ts, 0.0, 1.0), net.cfg)
-    return _blocks(net, ys, c, a == 1, tangent)
+    ops = DualOps if tangent else _NumpyOps
+
+    def block(rows):
+        y_col = ys[rows].reshape(-1, 1)
+        out = core_forward(ops, net.params, (y_col, np.ones_like(y_col)) if tangent else y_col,
+                           c[rows], net.cfg)
+        return rows, _arm(out, a[rows] == 1, tangent)
+
+    step = block_rows(net.cfg)
+    return _assemble(n, tangent, (block(slice(lo, lo + step)) for lo in range(0, n, step)))
+
+
+def _block_evaluator(net: VelocityNet, x: np.ndarray, a: np.ndarray, tangent: bool):
+    """f(ys, t) on one block of checked rows; see evaluator.
+
+    The block's conditioning matrix and its biases, repeated to one row
+    each, are built once, so every bias add is a same-shape add. The
+    conditioning projections are recomputed only when t changes: the two
+    middle RK4 stages share a time, and on a grid of exact floats a step's
+    last stage time is the next step's first.
+    """
+    n, cfg = x.shape[0], net.cfg
+    c = cond_features(x, a, np.zeros(n), cfg)
+    p = dict(net.params)
+    for name in _BIAS_NAMES:
+        p[name] = np.repeat(p[name], n, axis=0)
+    arm1 = a == 1
+    ops, ones = (DualOps, np.ones((n, 1))) if tangent else (_NumpyOps, None)
+    last_t, proj = None, None
+
+    def f(ys, t):
+        nonlocal last_t, proj
+        if not -_T_TOL <= t <= 1.0 + _T_TOL:
+            raise ContractError(f"t outside [0, 1]: {t}")
+        t = min(max(t, 0.0), 1.0)
+        if t != last_t:
+            c[:, cfg.d_x + 1:] = encode_time(np.array([t]), cfg)
+            proj, last_t = cond_projections(_NumpyOps, p, c), t
+        y_col = ys.reshape(-1, 1)
+        return _arm(head(ops, p, (y_col, ones) if tangent else y_col, proj), arm1, tangent)
+
+    return f
+
+
+def block_evaluators(net: VelocityNet, n: int, x, a, tangent: bool = False):
+    """(x, a) checked once, then (rows, f) for each block of block_rows rows.
+
+    f is the block's evaluator (see evaluator). Each block is built as it
+    is drawn, so a caller that finishes one block before drawing the next
+    holds at most two blocks' state however many rows it carries.
+    """
+    x, a = _check_cond(net, n, x, a)
+    step = block_rows(net.cfg)
+    return ((slice(lo, lo + step),
+             _block_evaluator(net, x[lo:lo + step], a[lo:lo + step], tangent))
+            for lo in range(0, n, step))
 
 
 def evaluator(net: VelocityNet, n: int, x, a, tangent: bool = False):
     """Evaluator f(ys, t) over n rows with fixed conditioning (x, a).
 
-    (x, a) are checked and the conditioning matrix is built once; each call
-    only writes its time into the time columns. f(ys, t) equals
+    (x, a) are checked once. f(ys, t) equals
     forward_batch(net, ys, full(n, t), x, a, tangent) bit for bit.
     """
-    x, a = _check_cond(net, n, x, a)
-    c = cond_features(x, a, np.zeros(n), net.cfg)
-    arm1 = a == 1
-
-    def f(ys, t):
-        if not -_T_TOL <= t <= 1.0 + _T_TOL:
-            raise ContractError(f"t outside [0, 1]: {t}")
-        c[:, net.cfg.d_x + 1:] = encode_time(np.array([min(max(t, 0.0), 1.0)]), net.cfg)
-        return _blocks(net, ys, c, arm1, tangent)
-
-    return f
+    blocks = list(block_evaluators(net, n, x, a, tangent))
+    return lambda ys, t: _assemble(n, tangent, ((rows, g(ys[rows], t)) for rows, g in blocks))
 
 
 @dataclass

@@ -49,19 +49,23 @@ def test_bench_tracer_reaches_what_it_names():
     assert {k: g.shape for k, g in grads.items()} == {k: p.shape for k, p in net.params.items()}
 
 
-def test_bench_workloads_reach_what_they_name():
-    tree = ast.parse((_BENCH / "workloads.py").read_text(encoding="utf-8"))
+def _check_module_references(path: Path) -> int:
+    """Every <module>.<name> that a bench file uses exists, and every call binds.
+
+    Returns the number of calls checked.
+    """
+    tree = ast.parse(path.read_text(encoding="utf-8"))
     calls = 0
     for node in ast.walk(tree):
         if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                 and node.value.id in _MODULES):
-            where = f"workloads.py:{node.lineno} {node.value.id}.{node.attr}"
+            where = f"{path.name}:{node.lineno} {node.value.id}.{node.attr}"
             assert hasattr(_MODULES[node.value.id], node.attr), where
         if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
                 and isinstance(node.func.value, ast.Name) and node.func.value.id in _MODULES):
             continue
         sig = inspect.signature(getattr(_MODULES[node.func.value.id], node.func.attr))
-        where = f"workloads.py:{node.lineno} {node.func.value.id}.{node.func.attr}{sig}"
+        where = f"{path.name}:{node.lineno} {node.func.value.id}.{node.func.attr}{sig}"
         keywords = {k.arg: None for k in node.keywords if k.arg is not None}
         if any(isinstance(a, ast.Starred) for a in node.args) or None in (
                 k.arg for k in node.keywords):
@@ -73,7 +77,18 @@ def test_bench_workloads_reach_what_they_name():
             except TypeError as exc:
                 raise AssertionError(f"{where}: {exc}") from None
         calls += 1
-    assert calls > 20  # the workloads still reach the package through these names
+    return calls
+
+
+def test_bench_workloads_reach_what_they_name():
+    # the workloads still reach the package through these names
+    assert _check_module_references(_BENCH / "workloads.py") > 20
+
+
+def test_bench_tracing_reaches_what_it_names():
+    # the primitive timings and the call-overhead probe: cond_features,
+    # core_forward twice and forward_batch
+    assert _check_module_references(_TRACING) >= 4
 
 
 def _count_calls(monkeypatch, calls: dict, module, name: str) -> None:

@@ -160,6 +160,10 @@ def test_decode_nodes_shared_or_per_row_nodes():
     np.testing.assert_allclose(log_p.reshape(-1), ld, atol=1e-4)
     with pytest.raises(DimensionError, match="nodes have shape"):
         api.decode_nodes(m, x, 1, np.zeros((2, 4)), cfg)
+    with pytest.raises(DimensionError, match=r"nodes have shape \(\), expected \(k,\)"):
+        api.decode_nodes(m, x, 1, 0.5, cfg)
+    with pytest.raises(DimensionError, match=r"nodes have shape \(1, 3, 4\)"):
+        api.decode_nodes(m, x, 1, np.zeros((1, 3, 4)), cfg)
 
 
 def test_log_density_zero_field():

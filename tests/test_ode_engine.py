@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -76,14 +78,20 @@ def test_decode_monotone_in_z():
     assert np.all(np.diff(ys) > 0)
 
 
+def _divergence(net, y, t, x, a):
+    """dv/dy at one state, from the forward-mode evaluator."""
+    _, d = vn.evaluator(net, 1, x, a, tangent=True)(np.array([y]), t)
+    return float(d[0])
+
+
 def test_divergence_linear_field_is_exact():
     net = _linear_net(slope=3.0, intercept=0.2)
-    assert oe.divergence(net, 0.4, 0.5, np.zeros(2), 1) == 3.0
+    assert _divergence(net, 0.4, 0.5, np.zeros(2), 1) == 3.0
 
 
 def test_divergence_constant_field_is_zero():
     net = _linear_net(intercept=5.0)
-    assert abs(oe.divergence(net, 1.1, 0.25, np.zeros(2), 0)) <= 1e-9
+    assert abs(_divergence(net, 1.1, 0.25, np.zeros(2), 0)) <= 1e-9
 
 
 def test_jvp_divergence_matches_central_difference():
@@ -94,7 +102,7 @@ def test_jvp_divergence_matches_central_difference():
         y, t = rng.standard_normal() * 2, rng.random()
         x, a = rng.standard_normal(3), int(rng.integers(0, 2))
         hi, lo = vn.forward_batch(net, [y + s, y - s], t, np.tile(x, (2, 1)), a)
-        assert abs(oe.divergence(net, y, t, x, a) - (hi - lo) / (2.0 * s)) <= 1e-6
+        assert abs(_divergence(net, y, t, x, a) - (hi - lo) / (2.0 * s)) <= 1e-6
 
 
 def test_logdensity_zero_field_standard_normal():
@@ -203,7 +211,7 @@ _ENTRY_POINTS = [
     lambda net, ys, x, a: oe.decode_batch(net, ys, x, a),
     lambda net, ys, x, a: oe.encode_with_logdensity_batch(net, ys, x, a),
     lambda net, ys, x, a: oe.decode_with_logdensity_batch(net, ys, x, a),
-    lambda net, ys, x, a: oe.divergence(net, ys[0], 0.5, x, a),
+    lambda net, ys, x, a: vn.evaluator(net, 1, x, a, tangent=True),
 ]
 
 
@@ -215,3 +223,122 @@ def test_entry_points_check_conditioning(call):
         call(net, ys, np.zeros(2), 2)
     with pytest.raises(DimensionError, match=r"x has shape \(1, 3\), expected \(1, 2\)"):
         call(net, ys, np.zeros(3), 1)
+
+
+def _reference_flow(net, ys, x, a, t0, t1, n_steps, logdet):
+    """RK4 written out over a fresh all-rows core_forward at every stage."""
+    cfg, n = net.cfg, ys.shape[0]
+    sign = 1.0 if t1 > t0 else -1.0
+
+    def f(s, t):
+        c = vn.cond_features(x, a, np.full(n, min(max(t, 0.0), 1.0)), cfg)
+        y_col = (s[0] if logdet else s).reshape(-1, 1)
+        if not logdet:
+            both = vn.core_forward(vn._NumpyOps, net.params, y_col, c, cfg)
+            return np.where(a == 1, both[:, 1], both[:, 0])
+        both, dboth = vn.core_forward(vn.DualOps, net.params, (y_col, np.ones_like(y_col)),
+                                      c, cfg)
+        return np.stack([np.where(a == 1, both[:, 1], both[:, 0]),
+                         sign * np.where(a == 1, dboth[:, 1], dboth[:, 0])])
+
+    h = (t1 - t0) / n_steps
+    y = np.stack([ys, np.zeros_like(ys)]) if logdet else ys.copy()
+    for k in range(n_steps):
+        t = t0 + (k * (t1 - t0)) / n_steps
+        k1 = f(y, t)
+        k2 = f(y + 0.5 * h * k1, t + 0.5 * h)
+        k3 = f(y + 0.5 * h * k2, t + 0.5 * h)
+        k4 = f(y + h * k3, t + h)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    if not logdet:
+        return y
+    z = y[0] if t1 > t0 else ys
+    return y[0], -0.5 * oe.LOG_2PI - 0.5 * z * z + y[1]
+
+
+@pytest.mark.parametrize("n_steps", [10, 16])
+@pytest.mark.parametrize("flow, t0, t1, logdet", [
+    (oe.encode_batch, 0.0, 1.0, False),
+    (oe.decode_batch, 1.0, 0.0, False),
+    (oe.encode_with_logdensity_batch, 0.0, 1.0, True),
+    (oe.decode_with_logdensity_batch, 1.0, 0.0, True),
+])
+def test_blocked_flows_match_per_stage_core_forward_bitwise(flow, t0, t1, logdet, n_steps):
+    net = vn.init(vn.NetConfig(d_x=3, init_seed=4, time_encoding="sinusoidal"))
+    n = 5 * vn._ROW_BLOCK // 2
+    rng = np.random.default_rng(9)
+    ys, x, a = rng.standard_normal(n), rng.standard_normal((n, 3)), rng.integers(0, 2, n)
+    got = flow(net, ys, x, a, oe.OdeConfig(n_steps=n_steps))
+    want = _reference_flow(net, ys, x, a, t0, t1, n_steps, logdet)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+def _count_cond_projections(monkeypatch):
+    calls = []
+    inner = vn.cond_projections
+
+    def counting(ops, p, c):
+        calls.append(c.shape[0])
+        return inner(ops, p, c)
+
+    monkeypatch.setattr(vn, "cond_projections", counting)
+    return calls
+
+
+@pytest.mark.parametrize("flow", [oe.encode_batch, oe.decode_with_logdensity_batch])
+def test_each_block_projects_the_conditioning_once_per_stage_time(monkeypatch, flow):
+    net = vn.init(vn.NetConfig(d_x=2, init_seed=3))
+    n = 5 * vn._ROW_BLOCK // 2
+    rng = np.random.default_rng(1)
+    ys, x, a = rng.standard_normal(n), rng.standard_normal((n, 2)), rng.integers(0, 2, n)
+    want = flow(net, ys, x, a, oe.OdeConfig(n_steps=64))
+    calls = _count_cond_projections(monkeypatch)
+    got = flow(net, ys, x, a, oe.OdeConfig(n_steps=64))
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    # 64 steps of 4 stages: the shared midpoint and the shared step ends
+    # leave 1 + 2 * 64 distinct times on the power-of-two grid
+    assert calls == [vn._ROW_BLOCK] * 129 + [vn._ROW_BLOCK] * 129 + [n - 2 * vn._ROW_BLOCK] * 129
+
+
+def test_inexact_time_grids_recompute_projections_and_stay_exact(monkeypatch):
+    net = vn.init(vn.NetConfig(d_x=2, init_seed=3))
+    rng = np.random.default_rng(2)
+    ys, x, a = rng.standard_normal(7), rng.standard_normal((7, 2)), rng.integers(0, 2, 7)
+    calls = _count_cond_projections(monkeypatch)
+    got = oe.encode_batch(net, ys, x, a, oe.OdeConfig(n_steps=10))
+    assert 1 + 2 * 10 < len(calls) <= 1 + 3 * 10
+    assert got.tobytes() == _reference_flow(net, ys, x, a, 0.0, 1.0, 10, False).tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+@pytest.mark.parametrize("flow", [oe.encode_batch, oe.decode_with_logdensity_batch])
+def test_integration_error_names_global_rows_of_a_later_block(flow):
+    net = _linear_net(slope=3000.0)
+    n = 5 * vn.block_rows(net.cfg) // 2
+    ys = np.zeros(n)
+    ys[vn.block_rows(net.cfg) + 7] = 1.0  # v = 3000 y blows up this row alone
+    with pytest.raises(IntegrationError,
+                       match=rf"in 1 row\(s\), first rows \[{vn.block_rows(net.cfg) + 7}\]"):
+        flow(net, ys, np.zeros((n, 2)), 1)
+
+
+def _encode_peak_bytes(net, n):
+    rng = np.random.default_rng(0)
+    ys, x, a = rng.standard_normal(n), rng.standard_normal((n, net.cfg.d_x)), rng.integers(0, 2, n)
+    tracemalloc.start()
+    try:
+        oe.encode_batch(net, ys, x, a, oe.OdeConfig(n_steps=2))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_encode_memory_does_not_grow_with_rows():
+    net = vn.init(vn.NetConfig(d_x=10, init_seed=1))
+    two_blocks = _encode_peak_bytes(net, 2 * vn.block_rows(net.cfg))
+    peak = _encode_peak_bytes(net, 20_000)
+    # a query holds at most two blocks' state at once; beyond that only the
+    # 8-byte output entry (and the treatment check's booleans) may grow with
+    # the rows, where all-rows stage temporaries would add over 100 bytes
+    assert peak < two_blocks + 16 * 20_000
+    assert peak < 3.5 * 2**20

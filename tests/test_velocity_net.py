@@ -236,6 +236,24 @@ def test_forward_batch_blocks_match_one_pass():
     assert got.tobytes() == want.tobytes()
 
 
+def test_wide_nets_pass_fewer_rows_per_block():
+    assert vn.block_rows(vn.NetConfig(d_x=10)) == vn._ROW_BLOCK
+    net = _busy_net(d_x=20, seed=5)
+    rows = vn.block_rows(net.cfg)
+    assert rows < vn._ROW_BLOCK
+    assert rows * 8 * max(net.cfg.hidden, net.cfg.cond_dim) <= vn._PASS_BYTES
+    n = 5 * rows // 2
+    ys, ts, x, a = _rand_inputs(net, n, seed=4)
+    c = vn.cond_features(x, a, ts, net.cfg)
+    both = vn.core_forward(vn._NumpyOps, net.params, ys.reshape(-1, 1), c, net.cfg)
+    assert vn.forward_batch(net, ys, ts, x, a).tobytes() == \
+        np.where(a == 1, both[:, 1], both[:, 0]).tobytes()
+    c = vn.cond_features(x, a, np.full(n, 0.25), net.cfg)
+    both = vn.core_forward(vn._NumpyOps, net.params, ys.reshape(-1, 1), c, net.cfg)
+    assert vn.evaluator(net, n, x, a)(ys, 0.25).tobytes() == \
+        np.where(a == 1, both[:, 1], both[:, 0]).tobytes()
+
+
 def test_numpy_and_tape_backends_agree_bitwise():
     net = _busy_net(d_x=4, seed=2)
     ys, ts, x, a = _rand_inputs(net, 300, seed=5)
