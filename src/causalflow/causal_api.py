@@ -15,6 +15,7 @@ import numpy as np
 
 from . import ode_engine as oe
 from .errors import ContractError, DimensionError
+from .scm_data import check_treatment
 from .velocity_net import FlowModel
 
 N_SAMPLES = 100  # draws per row for po
@@ -33,16 +34,6 @@ def _check_x(model: FlowModel, x) -> np.ndarray:
             f"model expects {model.cfg.d_x}"
         )
     return x
-
-
-def _check_a(a, n: int) -> np.ndarray:
-    try:
-        a = np.broadcast_to(np.asarray(a), (n,))
-    except ValueError:
-        raise DimensionError(f"treatment has shape {np.shape(a)}, expected ({n},)") from None
-    if not np.all((a == 0) | (a == 1)):  # before the cast, which would turn 0.5 into 0
-        raise ContractError("treatment values must be 0 or 1")
-    return a.astype(np.int64)
 
 
 def _noise(seed: int, n: int, n_samples: int) -> np.ndarray:
@@ -71,7 +62,7 @@ def decode_nodes(model: FlowModel, x, a, z, ode_cfg: oe.OdeConfig = oe.OdeConfig
     if np.ndim(z) not in (1, 2):
         raise DimensionError(f"nodes have shape {np.shape(z)}, expected (k,) or ({n}, k)")
     k = np.shape(z)[-1]
-    a = _check_a(a, n)
+    a = check_treatment(a, n)
     try:
         zs = np.broadcast_to(z, (n, k)).reshape(-1)
     except ValueError:
@@ -122,7 +113,7 @@ def predict_counterfactual_batch(model: FlowModel, ys, x, a,
     """Abduct noise under the factual arm, replay it under the flipped arm."""
     x = _check_x(model, x)
     n = x.shape[0]
-    a = _check_a(a, n)
+    a = check_treatment(a, n)
     ys = np.asarray(ys, dtype=np.float64).reshape(-1)
     if ys.shape[0] != n:
         raise DimensionError(f"{ys.shape[0]} outcomes for {n} covariate rows")
@@ -158,7 +149,7 @@ def log_density_batch(model: FlowModel, ys, x, a,
     """Exact log p(y | x, a) in original units (change of variables for y)."""
     x = _check_x(model, x)
     n = x.shape[0]
-    a = _check_a(a, n)
+    a = check_treatment(a, n)
     ys = np.asarray(ys, dtype=np.float64).reshape(-1)
     if ys.shape[0] != n:
         raise DimensionError(f"{ys.shape[0]} outcomes for {n} covariate rows")

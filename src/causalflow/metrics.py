@@ -262,7 +262,7 @@ def mmd_a3_test(model: FlowModel, ds: CausalDataset,
 
 
 def _eval_split(model: FlowModel, ds: CausalDataset, ode_cfg, seed: int,
-                predictor, max_rows: int, noise_sd: float) -> dict:
+                max_rows: int, noise_sd: float) -> dict:
     n = min(ds.n, max_rows)
     sub = ds.take(np.arange(n))
     x, a, y = sub.x, sub.a, sub.y
@@ -270,31 +270,15 @@ def _eval_split(model: FlowModel, ds: CausalDataset, ode_cfg, seed: int,
 
     z, w = api.GAUSS_HERMITE
     y_gh, logp_gh = api.decode_nodes(model, x, a, z, ode_cfg, log_p=True)
-    if predictor is None:
-        pred_f = y_gh @ w
-        pred_map = api.map_po_batch(model, x, a, ode_cfg)
-    else:
-        pred_f = np.asarray(predictor.factual(x, a), dtype=np.float64)
-        pred_map = pred_f
-    out["rmse_factual"] = rmse(pred_f, y)
-    out["rmse_map"] = rmse(pred_map, y)
+    out["rmse_factual"] = rmse(y_gh @ w, y)
+    out["rmse_map"] = rmse(api.map_po_batch(model, x, a, ode_cfg), y)
 
     if sub.ycf is not None:
-        if predictor is None:
-            pred_cf = api.predict_counterfactual_batch(model, y, x, a, ode_cfg)
-        else:
-            pred_cf = np.asarray(predictor.counterfactual(y, x, a),
-                                 dtype=np.float64)
-        out["rmse_cf"] = rmse(pred_cf, sub.ycf)
+        out["rmse_cf"] = rmse(api.predict_counterfactual_batch(model, y, x, a, ode_cfg),
+                              sub.ycf)
 
-    has_mu = sub.mu0 is not None and sub.mu1 is not None
-    if has_mu:
-        tau = sub.mu1 - sub.mu0
-        if predictor is None:
-            pred_tau = api.estimate_cate(model, x, ode_cfg)
-        else:
-            pred_tau = np.asarray(predictor.cate(x), dtype=np.float64)
-        out["pehe"] = pehe(pred_tau, tau)
+    if sub.mu0 is not None and sub.mu1 is not None:
+        out["pehe"] = pehe(api.estimate_cate(model, x, ode_cfg), sub.mu1 - sub.mu0)
 
         mu_fact = np.where(a == 1, sub.mu1, sub.mu0)
         out["kl"] = _gh_kl(y_gh, logp_gh, mu_fact, noise_sd)
@@ -312,23 +296,21 @@ def _eval_split(model: FlowModel, ds: CausalDataset, ode_cfg, seed: int,
 
 def evaluate_all(model: FlowModel, train_ds: CausalDataset,
                  test_ds: CausalDataset, ode_cfg: oe.OdeConfig = oe.OdeConfig(),
-                 seed: int = 0, predictor=None, max_rows: int = MAX_ROWS,
+                 seed: int = 0, max_rows: int = MAX_ROWS,
                  noise_sd: float = 1.0) -> dict:
     """Run every metric the truth columns allow, on both splits.
 
     Returns {"metrics": {name: {"in": train value, "out": test value}},
     "meta": run settings}.
 
-    predictor, when given, supplies the point predictions (factual,
-    counterfactual, cate) in place of the flow model; the distributional
-    metrics always come from the model. Every metric but the MMD pair is a
-    decode at fixed noise nodes, so seed reaches only the MMD draws.
+    Every metric but the MMD pair is a decode at fixed noise nodes, so seed
+    reaches only the MMD draws.
     """
     if not 0.0 < noise_sd < math.inf:
         raise ContractError(f"noise_sd must be finite and positive, got {noise_sd}")
     splits = {"in": train_ds, "out": test_ds}
     per_split = {
-        tag: _eval_split(model, ds, ode_cfg, seed, predictor, max_rows, noise_sd)
+        tag: _eval_split(model, ds, ode_cfg, seed, max_rows, noise_sd)
         for tag, ds in splits.items()
     }
     names = sorted(set(per_split["in"]) | set(per_split["out"]))
@@ -343,6 +325,5 @@ def evaluate_all(model: FlowModel, train_ds: CausalDataset,
         "noise_sd": noise_sd,
         "seed": seed,
         "n_steps": ode_cfg.n_steps,
-        "predictor": "external" if predictor is not None else "model",
     }
     return {"metrics": metrics, "meta": meta}

@@ -11,14 +11,18 @@ import csv
 import json
 import os
 from contextlib import contextmanager, suppress
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, FitError, GenerationError, NumericError, SchemaError
+from .errors import (ContractError, DimensionError, FitError, GenerationError, NumericError,
+                     SchemaError)
 from .numkit import sigmoid_kernel
 
 PROPENSITY_CLIP = (0.01, 0.99)
+# fit_propensity's step budget, and the gradient norm at which it stops early
+PROPENSITY_MAX_STEPS = 10000
+PROPENSITY_TOL = 1e-6
 SD_FLOOR = 1e-12
 # The largest float64 array that a configured size may imply: 1 GiB. The
 # generator's n * d_x, training's batch_size times the net width and the
@@ -84,6 +88,18 @@ def default_config(n: int = 1000, d_x: int = 10, seed: int = 0, **over) -> DgpCo
     return DgpConfig(**kwargs)
 
 
+def check_treatment(a, n: int) -> np.ndarray:
+    """a as n int64 values; DimensionError for a bad shape, ContractError unless each is 0 or 1."""
+    a = np.asarray(a)
+    try:
+        a = np.broadcast_to(a, (n,))
+    except ValueError:
+        raise DimensionError(f"a has shape {a.shape}, expected ({n},)") from None
+    if not np.all((a == 0) | (a == 1)):  # before the cast, which would turn 0.5 into 0
+        raise ContractError("treatment must be 0 or 1")
+    return a.astype(np.int64)
+
+
 @dataclass
 class CausalDataset:
     """Rows of (covariates, binary treatment, outcome) plus optional truth columns."""
@@ -104,9 +120,7 @@ class CausalDataset:
         n = self.x.shape[0]
         if self.a.shape != (n,) or self.y.shape != (n,):
             raise ContractError("a and y must be length-n vectors")
-        if not np.all(np.isin(self.a, (0, 1))):
-            raise ContractError("treatment must be 0 or 1")
-        self.a = self.a.astype(np.int64)
+        self.a = check_treatment(self.a, n)
         for field_name in ("mu0", "mu1", "ycf"):
             col = getattr(self, field_name)
             if col is not None:
@@ -348,7 +362,7 @@ class PropensityModel:
         return np.clip(sigmoid_kernel(z), *PROPENSITY_CLIP)
 
 
-def fit_propensity(ds: CausalDataset, max_steps: int = 10000, tol: float = 1e-6) -> PropensityModel:
+def fit_propensity(ds: CausalDataset) -> PropensityModel:
     """Full-batch gradient descent on the mean logistic deviance."""
     if len(np.unique(ds.a)) < 2:
         raise FitError("propensity fit needs both treatment arms")
@@ -357,9 +371,9 @@ def fit_propensity(ds: CausalDataset, max_steps: int = 10000, tol: float = 1e-6)
     # 1/lr bounds the curvature of the mean deviance along the data
     lr = 4.0 / max(1.0, float(np.mean(np.sum(xt * xt, axis=1))))
     target = ds.a.astype(np.float64)
-    for _ in range(max_steps):
+    for _ in range(PROPENSITY_MAX_STEPS):
         g = xt.T @ (sigmoid_kernel(xt @ w) - target) / ds.n
-        if float(np.linalg.norm(g)) < tol:
+        if float(np.linalg.norm(g)) < PROPENSITY_TOL:
             break
         w -= lr * g
     return PropensityModel(tuple(w))

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ConfigError, ContractError, DimensionError
 from .numkit import sigmoid_kernel
-from .scm_data import Scaler, check_array_bytes, write_json
+from .scm_data import Scaler, check_array_bytes, check_treatment, write_json
 
 MODEL_FORMAT_VERSION = 1
 _T_TOL = 1e-9
@@ -36,6 +36,10 @@ _T_TOL = 1e-9
 _ROW_BLOCK = 1024
 _PASS_BYTES = 128 * 1024
 _RES_BLOCKS = 2
+# Sinusoidal time columns run at 2^j * pi for j < time_frequencies. Past about
+# 2^54 * pi, neighbouring float64 times near t = 0.5 fall more than a period
+# apart, so such a column says nothing about t.
+MAX_TIME_FREQUENCIES = 52
 
 
 @dataclass(frozen=True)
@@ -53,8 +57,10 @@ class NetConfig:
             raise ContractError("d_x must be positive")
         if self.time_encoding not in ("scalar-append", "sinusoidal"):
             raise ContractError(f"unknown time_encoding {self.time_encoding!r}")
-        if self.time_encoding == "sinusoidal" and self.time_frequencies < 1:
-            raise ContractError("time_frequencies must be at least 1")
+        if (self.time_encoding == "sinusoidal"
+                and not 1 <= self.time_frequencies <= MAX_TIME_FREQUENCIES):
+            raise ContractError(f"time_frequencies must be in [1, {MAX_TIME_FREQUENCIES}], "
+                                f"got {self.time_frequencies}")
         if self.hidden_dim is not None and self.hidden_dim < 1:
             raise ContractError("hidden_dim must be at least 1")
         if self.init_seed < 0:
@@ -135,9 +141,6 @@ class VelocityNet:
 
     cfg: NetConfig
     params: dict[str, np.ndarray]
-
-    def copy(self) -> "VelocityNet":
-        return VelocityNet(self.cfg, {k: v.copy() for k, v in self.params.items()})
 
 
 def init(cfg: NetConfig) -> VelocityNet:
@@ -271,15 +274,6 @@ def block_rows(cfg: NetConfig) -> int:
     return max(1, min(_ROW_BLOCK, _PASS_BYTES // (8 * max(cfg.hidden, cfg.cond_dim))))
 
 
-def _per_row(v, n: int, name: str) -> np.ndarray:
-    """v broadcast to one entry per row; DimensionError names v when it cannot be."""
-    v = np.asarray(v)
-    try:
-        return np.broadcast_to(v, (n,))
-    except ValueError:
-        raise DimensionError(f"forward: {name} has shape {v.shape}, expected ({n},)") from None
-
-
 def _check_cond(net: VelocityNet, n: int, x, a) -> tuple[np.ndarray, np.ndarray]:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 1:
@@ -287,60 +281,42 @@ def _check_cond(net: VelocityNet, n: int, x, a) -> tuple[np.ndarray, np.ndarray]
     if x.shape != (n, net.cfg.d_x):
         raise DimensionError(
             f"forward: x has shape {x.shape}, expected ({n}, {net.cfg.d_x})")
-    a = _per_row(a, n, "a")
-    if n and not ((a == 0) | (a == 1)).all():
-        raise ContractError("treatment must be 0 or 1")
-    return x, a
+    return x, check_treatment(a, n)
 
 
-def _arm(out, arm1: np.ndarray, tangent: bool):
-    """The selected arm's column of a both-arm output, with its tangent's."""
-    if tangent:
-        both, dboth = out
-        return np.where(arm1, both[:, 1], both[:, 0]), np.where(arm1, dboth[:, 1], dboth[:, 0])
-    return np.where(arm1, out[:, 1], out[:, 0])
+def _arm(both: np.ndarray, arm1: np.ndarray) -> np.ndarray:
+    """The selected arm's column of a both-arm output."""
+    return np.where(arm1, both[:, 1], both[:, 0])
 
 
-def _assemble(n: int, tangent: bool, blocks):
-    """The (n,) velocity, and with tangent also dv/dy, from (rows, result) blocks."""
-    v = np.empty(n)
-    dv = np.empty(n) if tangent else None
-    for rows, out in blocks:
-        if tangent:
-            v[rows], dv[rows] = out
-        else:
-            v[rows] = out
-    return (v, dv) if tangent else v
-
-
-def forward_batch(net: VelocityNet, ys, ts, x, a, tangent: bool = False):
+def forward_batch(net: VelocityNet, ys, ts, x, a) -> np.ndarray:
     """Velocity of the selected arm for each row, after checking every input.
 
-    With tangent, returns (v, dv/dy), the derivative taken by forward mode.
     Rows pass through the network in blocks of block_rows. Rows are
     independent, so the result equals one pass over all rows bit for bit.
     """
     ys = np.asarray(ys, dtype=np.float64).reshape(-1)
     n = ys.shape[0]
     x, a = _check_cond(net, n, x, a)
-    ts = _per_row(np.asarray(ts, dtype=np.float64), n, "t")
+    ts = np.asarray(ts, dtype=np.float64)
+    try:
+        ts = np.broadcast_to(ts, (n,))
+    except ValueError:
+        raise DimensionError(f"forward: t has shape {ts.shape}, expected ({n},)") from None
     if n and (ts.min() < -_T_TOL or ts.max() > 1.0 + _T_TOL):
         raise ContractError(f"t outside [0, 1]: range [{ts.min()}, {ts.max()}]")
     c = cond_features(x, a, np.clip(ts, 0.0, 1.0), net.cfg)
-    ops = DualOps if tangent else _NumpyOps
-
-    def block(rows):
-        y_col = ys[rows].reshape(-1, 1)
-        out = core_forward(ops, net.params, (y_col, np.ones_like(y_col)) if tangent else y_col,
-                           c[rows], net.cfg)
-        return rows, _arm(out, a[rows] == 1, tangent)
-
+    v = np.empty(n)
     step = block_rows(net.cfg)
-    return _assemble(n, tangent, (block(slice(lo, lo + step)) for lo in range(0, n, step)))
+    for lo in range(0, n, step):
+        rows = slice(lo, lo + step)
+        v[rows] = _arm(core_forward(_NumpyOps, net.params, ys[rows].reshape(-1, 1), c[rows],
+                                    net.cfg), a[rows] == 1)
+    return v
 
 
 def _block_evaluator(net: VelocityNet, x: np.ndarray, a: np.ndarray, tangent: bool):
-    """f(ys, t) on one block of checked rows; see evaluator.
+    """f(ys, t) on one block of checked rows; see block_evaluators.
 
     The block's conditioning matrix and its biases, repeated to one row
     each, are built once, so every bias add is a same-shape add. The
@@ -354,7 +330,7 @@ def _block_evaluator(net: VelocityNet, x: np.ndarray, a: np.ndarray, tangent: bo
     for name in _BIAS_NAMES:
         p[name] = np.repeat(p[name], n, axis=0)
     arm1 = a == 1
-    ops, ones = (DualOps, np.ones((n, 1))) if tangent else (_NumpyOps, None)
+    ones = np.ones((n, 1))
     last_t, proj = None, None
 
     def f(ys, t):
@@ -366,7 +342,10 @@ def _block_evaluator(net: VelocityNet, x: np.ndarray, a: np.ndarray, tangent: bo
             c[:, cfg.d_x + 1:] = encode_time(np.array([t]), cfg)
             proj, last_t = cond_projections(_NumpyOps, p, c), t
         y_col = ys.reshape(-1, 1)
-        return _arm(head(ops, p, (y_col, ones) if tangent else y_col, proj), arm1, tangent)
+        if not tangent:
+            return _arm(head(_NumpyOps, p, y_col, proj), arm1)
+        both, dboth = head(DualOps, p, (y_col, ones), proj)
+        return _arm(both, arm1), _arm(dboth, arm1)
 
     return f
 
@@ -374,25 +353,17 @@ def _block_evaluator(net: VelocityNet, x: np.ndarray, a: np.ndarray, tangent: bo
 def block_evaluators(net: VelocityNet, n: int, x, a, tangent: bool = False):
     """(x, a) checked once, then (rows, f) for each block of block_rows rows.
 
-    f is the block's evaluator (see evaluator). Each block is built as it
-    is drawn, so a caller that finishes one block before drawing the next
-    holds at most two blocks' state however many rows it carries.
+    f(ys, t) is the selected arm's velocity on the block's rows at the one
+    time t, and with tangent the pair (v, dv/dy), the derivative taken by
+    forward mode. Each block is built as it is drawn, so a caller that
+    finishes one block before drawing the next holds at most two blocks'
+    state however many rows it carries.
     """
     x, a = _check_cond(net, n, x, a)
     step = block_rows(net.cfg)
     return ((slice(lo, lo + step),
              _block_evaluator(net, x[lo:lo + step], a[lo:lo + step], tangent))
             for lo in range(0, n, step))
-
-
-def evaluator(net: VelocityNet, n: int, x, a, tangent: bool = False):
-    """Evaluator f(ys, t) over n rows with fixed conditioning (x, a).
-
-    (x, a) are checked once. f(ys, t) equals
-    forward_batch(net, ys, full(n, t), x, a, tangent) bit for bit.
-    """
-    blocks = list(block_evaluators(net, n, x, a, tangent))
-    return lambda ys, t: _assemble(n, tangent, ((rows, g(ys[rows], t)) for rows, g in blocks))
 
 
 @dataclass

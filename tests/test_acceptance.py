@@ -25,7 +25,8 @@ from causalflow.ode_engine import (OdeConfig, decode_batch, encode_batch,
                                    encode_with_logdensity_batch)
 from causalflow.scm_data import (default_config, generate_ihdp_like, split,
                                  standardize)
-from causalflow.velocity_net import FlowModel, NetConfig, evaluator, forward_batch, init
+from causalflow.velocity_net import (FlowModel, NetConfig, block_evaluators, forward_batch,
+                                     init)
 from helpers import integrate_end_state as _integrate
 
 ODE = OdeConfig(n_steps=64)
@@ -202,7 +203,8 @@ def test_gate_08_jvp_divergence_matches_central_difference(bench):
         a = int(rng.integers(0, 2))
         x = bench.x_std[i]
         hi, lo = forward_batch(bench.net, [y + s, y - s], t, np.tile(x, (2, 1)), a)
-        _, jvp = evaluator(bench.net, 1, x, a, tangent=True)(np.array([y]), t)
+        [(_, f)] = block_evaluators(bench.net, 1, x, a, tangent=True)
+        _, jvp = f(np.array([y]), t)
         worst = max(worst, abs(float(jvp[0]) - (hi - lo) / (2.0 * s)))
     _verdict(8, worst <= 1e-6, f"worst |jvp - central difference| {worst:.2e} "
                                f"(<= 1e-6, 50 points, step 1e-4)")

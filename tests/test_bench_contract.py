@@ -3,7 +3,8 @@
 bench/tracing.py patches public functions by name, times each primitive
 of the numpy backend and counts tape nodes; bench/workloads.py calls the
 package's modules by attribute. Both are read here, not edited, so a
-refactor of src/ that would break a benchmark run fails tier-1.
+refactor of src/ that would break a benchmark run fails tier-1. The same
+reading finds package code that only tests reach.
 """
 
 import ast
@@ -18,6 +19,7 @@ from causalflow import (causal_api, cfm_train, cli, metrics, numkit, ode_engine,
                         scm_data, velocity_net)
 
 _BENCH = Path(__file__).resolve().parent.parent / "bench"
+_SRC = _BENCH.parent / "src" / "causalflow"
 _TRACING = _BENCH / "tracing.py"
 _MODULES = {m.__name__.rsplit(".", 1)[1]: m for m in
             (causal_api, cfm_train, cli, metrics, numkit, ode_engine, scm_data, velocity_net)}
@@ -89,6 +91,26 @@ def test_bench_tracing_reaches_what_it_names():
     # the primitive timings and the call-overhead probe: cond_features,
     # core_forward twice and forward_batch
     assert _check_module_references(_TRACING) >= 4
+
+
+def test_every_top_level_definition_is_reached_outside_tests():
+    # a def or class is reached when a package module or a bench script names
+    # it: as a name, as an attribute or in an import
+    sources = sorted(_SRC.glob("*.py"))
+    named = set()
+    for path in sources + sorted(_BENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.name)
+    unreached = [f"{path.stem}.{node.name}" for path in sources
+                 for node in ast.parse(path.read_text(encoding="utf-8")).body
+                 if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                 and node.name not in named]
+    assert unreached == []
 
 
 def _count_calls(monkeypatch, calls: dict, module, name: str) -> None:

@@ -463,12 +463,28 @@ _EXIT_2_CASES = {
     "net-hidden-dim-past-byte-cap": ({"net.cfg": b"hidden_dim = 100000000\n"},
                                      "train --data {data} --out {d}/m2.json "
                                      "--net-config {d}/net.cfg", "net.cfg: param_count of hidden_dim"),
+    # 2.0 ** 1099 overflowed in encode_time; frequencies that fine say nothing about t
+    "net-time-frequencies-past-cap": (
+        {"net.cfg": b"time_encoding = sinusoidal\nhidden_dim = 2\ntime_frequencies = 1100\n"},
+        "train --data {data} --out {d}/m2.json --net-config {d}/net.cfg",
+        "net.cfg: time_frequencies must be in [1, 52]"),
+    "model-time-frequencies-past-cap": (
+        {"tf.json": lambda model: _edited_net_config(model, time_encoding="sinusoidal",
+                                                     time_frequencies=1024)},
+        "predict --model {d}/tf.json --data {data} --mode cf --out {d}/p.csv",
+        "tf.json: net_config: time_frequencies must be in [1, 52]"),
 }
 
 
 def _edited_model(model, **edit) -> bytes:
     doc = json.loads(Path(model).read_text(encoding="utf-8"))
     doc.update(edit)
+    return json.dumps(doc).encode()
+
+
+def _edited_net_config(model, **edit) -> bytes:
+    doc = json.loads(Path(model).read_text(encoding="utf-8"))
+    doc["net_config"].update(edit)
     return json.dumps(doc).encode()
 
 

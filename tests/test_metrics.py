@@ -11,7 +11,7 @@ from causalflow import metrics as mt
 from causalflow import velocity_net as vn
 from causalflow.errors import ContractError, DimensionError, NumericError
 from causalflow.scm_data import (CausalDataset, Scaler, default_config,
-                                 generate_ihdp_like, split, structural_mean)
+                                 generate_ihdp_like, split)
 
 
 def _model(d_x, y_mean=0.0, y_sd=1.0):
@@ -158,41 +158,6 @@ def test_mmd_a3_perfect_model_near_sampling_floor():
     assert abs(res["mmd_truth_baseline"]) < 0.05
 
 
-class _GeneratingProcessPredictor:
-    """Point predictions straight from the data generating functions."""
-
-    def __init__(self, cfg):
-        self.cfg = cfg
-
-    def factual(self, x, a):
-        return structural_mean(self.cfg, x, a)
-
-    def counterfactual(self, y, x, a):
-        mu_f = structural_mean(self.cfg, x, a)
-        mu_c = structural_mean(self.cfg, x, 1 - a)
-        return mu_c + (y - mu_f)
-
-    def cate(self, x):
-        return structural_mean(self.cfg, x, 1) - structural_mean(self.cfg, x, 0)
-
-
-def test_evaluate_all_with_generating_process_predictor():
-    cfg = default_config(n=400, d_x=4, seed=3)
-    ds = generate_ihdp_like(cfg)
-    tr, te = split(ds, 0.25, seed=0)
-    model = _model(4)
-    rep = mt.evaluate_all(model, tr, te,
-                          predictor=_GeneratingProcessPredictor(cfg),
-                          max_rows=64)
-    for tag in ("in", "out"):
-        assert rep["metrics"]["rmse_cf"][tag] <= 1e-10
-        assert rep["metrics"]["pehe"][tag] == 0.0
-        assert 0.7 < rep["metrics"]["rmse_factual"][tag] < 1.3
-    assert rep["meta"]["predictor"] == "external"
-    assert rep["meta"]["rows_in"] == 64
-    assert rep["meta"]["rows_out"] == 64
-
-
 def test_evaluate_all_without_truth_columns_drops_metrics():
     rng = np.random.default_rng(8)
     ds = CausalDataset(x=rng.standard_normal((20, 2)),
@@ -216,14 +181,14 @@ def test_evaluate_all_model_path_is_deterministic():
     assert set(r1["metrics"]) == expect
     for name, vals in r1["metrics"].items():
         assert set(vals) == {"in", "out"}, name
-    assert set(r1["meta"]) == {"rows_in", "rows_out", "noise_sd", "seed", "n_steps",
-                               "predictor"}
+    assert set(r1["meta"]) == {"rows_in", "rows_out", "noise_sd", "seed", "n_steps"}
 
 
 def test_evaluate_all_zero_field_hand_values():
     # The zero field decodes z to y = y_mean + y_sd * z: the mean and the MAP are
     # y_mean, the quantile nodes decode to y_mean + y_sd * node, and the KL is
-    # that of N(y_mean, y_sd^2) against N(mu_a, noise_sd^2).
+    # that of N(y_mean, y_sd^2) against N(mu_a, noise_sd^2). It maps y to itself
+    # under either arm, so the counterfactual of y is y and every CATE is 0.
     cfg = default_config(n=40, d_x=2, seed=5)
     ds = generate_ihdp_like(cfg)
     m = _model(2, y_mean=0.25, y_sd=1.5)
@@ -232,6 +197,8 @@ def test_evaluate_all_zero_field_hand_values():
     assert rep["rmse_factual"]["in"] == pytest.approx(mt.rmse(np.full(10, 0.25), sub.y),
                                                       abs=1e-12)
     assert rep["rmse_map"]["in"] == mt.rmse(np.full(10, 0.25), sub.y)
+    assert rep["rmse_cf"]["in"] == pytest.approx(mt.rmse(sub.y, sub.ycf), abs=1e-12)
+    assert rep["pehe"]["in"] == mt.rmse(np.zeros(10), sub.mu1 - sub.mu0)
     mu = np.where(sub.a == 1, sub.mu1, sub.mu0)
     want = np.mean(math.log(2.0 / 1.5) + (1.5 ** 2 + (0.25 - mu) ** 2) / (2 * 2.0 ** 2) - 0.5)
     assert rep["kl"]["in"] == pytest.approx(want, abs=1e-9)

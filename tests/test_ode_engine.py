@@ -80,7 +80,8 @@ def test_decode_monotone_in_z():
 
 def _divergence(net, y, t, x, a):
     """dv/dy at one state, from the forward-mode evaluator."""
-    _, d = vn.evaluator(net, 1, x, a, tangent=True)(np.array([y]), t)
+    [(_, f)] = vn.block_evaluators(net, 1, x, a, tangent=True)
+    _, d = f(np.array([y]), t)
     return float(d[0])
 
 
@@ -150,7 +151,7 @@ def test_density_normalizes_on_random_net():
 def test_integrate_is_repeated_rk4_steps_on_the_time_grid(t0, t1):
     net = vn.init(vn.NetConfig(d_x=2, init_seed=1))
     x = np.array([[0.1, 0.2]])
-    f = vn.evaluator(net, 1, x, 1)
+    [(_, f)] = vn.block_evaluators(net, 1, x, 1)
     y, h = np.array([0.5]), (t1 - t0) / 16
     for k in range(16):
         y = oe.rk4_step(f, y, t0 + k * h, h)
@@ -211,7 +212,7 @@ _ENTRY_POINTS = [
     lambda net, ys, x, a: oe.decode_batch(net, ys, x, a),
     lambda net, ys, x, a: oe.encode_with_logdensity_batch(net, ys, x, a),
     lambda net, ys, x, a: oe.decode_with_logdensity_batch(net, ys, x, a),
-    lambda net, ys, x, a: vn.evaluator(net, 1, x, a, tangent=True),
+    lambda net, ys, x, a: vn.block_evaluators(net, 1, x, a, tangent=True),
 ]
 
 

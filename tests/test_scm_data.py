@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from causalflow import scm_data as sd
-from causalflow.errors import (ContractError, FitError, GenerationError, NumericError,
-                               SchemaError)
+from causalflow.errors import (ContractError, DimensionError, FitError, GenerationError,
+                               NumericError, SchemaError)
 
 
 def _cfg(**over):
@@ -97,6 +97,20 @@ def test_truth_columns_match_hand_formula():
         # and back again
         back = (f1 if a == 1 else f0) + (ds.ycf[i] - (f0 if a == 1 else f1))
         assert back == pytest.approx(y, abs=1e-12)
+
+
+def test_check_treatment_broadcasts_and_names_the_fault():
+    got = sd.check_treatment(np.array([True, False, True]), 3)
+    assert got.dtype == np.int64 and got.tolist() == [1, 0, 1]
+    assert sd.check_treatment(1.0, 2).tolist() == [1, 1]
+    assert sd.check_treatment([], 0).shape == (0,)
+    with pytest.raises(DimensionError, match=r"a has shape \(2,\), expected \(3,\)"):
+        sd.check_treatment([0, 1], 3)
+    for bad in (0.5, 2, -1, float("nan")):
+        with pytest.raises(ContractError, match="treatment must be 0 or 1"):
+            sd.check_treatment([0, bad], 2)
+    with pytest.raises(ContractError, match="treatment must be 0 or 1"):
+        sd.CausalDataset(np.zeros((2, 1)), [0, 0.5], [0.0, 0.0])
 
 
 def test_csv_round_trip_exact(tmp_path):

@@ -119,7 +119,7 @@ def test_per_row_vector_length_mismatch_names_argument():
         ("t has shape \\(3,\\), expected \\(2,\\)",
          lambda: vn.forward_batch(net, [0.1, 0.2], [0.1, 0.2, 0.3], np.zeros((2, 2)), 1)),
         ("a has shape \\(2,\\), expected \\(3,\\)",
-         lambda: vn.evaluator(net, 3, np.zeros((3, 2)), [0, 1])),
+         lambda: vn.block_evaluators(net, 3, np.zeros((3, 2)), [0, 1])),
     ]
     for needle, call in calls:
         with pytest.raises(DimensionError, match=needle):
@@ -136,6 +136,15 @@ def test_time_encoding_dimensions():
     net = vn.init(cfg)
     ys, ts, x, a = _rand_inputs(net, 10)
     assert vn.forward_batch(net, ys, ts, x, a).shape == (10,)
+
+
+def test_time_frequencies_capped():
+    top = vn.NetConfig(d_x=1, time_encoding="sinusoidal",
+                       time_frequencies=vn.MAX_TIME_FREQUENCIES)
+    assert np.isfinite(vn.encode_time(np.array([0.5]), top)).all()
+    for bad in (0, vn.MAX_TIME_FREQUENCIES + 1, 1100):
+        with pytest.raises(ContractError, match="time_frequencies"):
+            vn.NetConfig(d_x=1, time_encoding="sinusoidal", time_frequencies=bad)
 
 
 def test_model_file_res_blocks_fixed_at_two(tmp_path):
@@ -215,6 +224,22 @@ def test_model_file_version_and_tensor_errors(tmp_path):
         vn.load_model(path)
 
 
+def _assembled(net, n, x, a, tangent=False):
+    """f(ys, t) over all n rows, each block's result written into one array."""
+    blocks = list(vn.block_evaluators(net, n, x, a, tangent))
+
+    def f(ys, t):
+        v, dv = np.empty(n), np.empty(n)
+        for rows, g in blocks:
+            if tangent:
+                v[rows], dv[rows] = g(ys[rows], t)
+            else:
+                v[rows] = g(ys[rows], t)
+        return (v, dv) if tangent else v
+
+    return f
+
+
 def _busy_net(d_x=3, seed=9, **over):
     """Seeded net with nonzero biases, so every primitive sees varied input."""
     net = _net(d_x=d_x, **over)
@@ -250,7 +275,7 @@ def test_wide_nets_pass_fewer_rows_per_block():
         np.where(a == 1, both[:, 1], both[:, 0]).tobytes()
     c = vn.cond_features(x, a, np.full(n, 0.25), net.cfg)
     both = vn.core_forward(vn._NumpyOps, net.params, ys.reshape(-1, 1), c, net.cfg)
-    assert vn.evaluator(net, n, x, a)(ys, 0.25).tobytes() == \
+    assert _assembled(net, n, x, a)(ys, 0.25).tobytes() == \
         np.where(a == 1, both[:, 1], both[:, 0]).tobytes()
 
 
@@ -281,23 +306,29 @@ def test_dual_backend_values_match_numpy_bitwise():
 def test_tangent_matches_central_difference():
     net = _busy_net(d_x=3, seed=4)
     ys, ts, x, a = _rand_inputs(net, 200, seed=7)
-    v, dv = vn.forward_batch(net, ys, ts, x, a, tangent=True)
-    assert v.tobytes() == vn.forward_batch(net, ys, ts, x, a).tobytes()
+    f, fd = _assembled(net, 200, x, a), _assembled(net, 200, x, a, tangent=True)
     s = 3e-6
-    cd = (vn.forward_batch(net, ys + s, ts, x, a)
-          - vn.forward_batch(net, ys - s, ts, x, a)) / (2.0 * s)
-    np.testing.assert_allclose(dv, cd, rtol=1e-6, atol=1e-9)
+    for t in ts[:5]:
+        v, dv = fd(ys, t)
+        assert v.tobytes() == f(ys, t).tobytes()
+        cd = (f(ys + s, t) - f(ys - s, t)) / (2.0 * s)
+        np.testing.assert_allclose(dv, cd, rtol=1e-6, atol=1e-9)
 
 
 @pytest.mark.parametrize("time_encoding", ["scalar-append", "sinusoidal"])
-def test_evaluator_matches_forward_batch_bitwise(time_encoding):
+def test_block_evaluators_match_one_dual_pass_bitwise(time_encoding):
     net = _busy_net(time_encoding=time_encoding)
     n = 5 * vn._ROW_BLOCK // 2
     ys, _, x, a = _rand_inputs(net, n, seed=8)
-    f = vn.evaluator(net, n, x, a)
-    fd = vn.evaluator(net, n, x, a, tangent=True)
+    f = _assembled(net, n, x, a)
+    fd = _assembled(net, n, x, a, tangent=True)
+    y_col = ys.reshape(-1, 1)
     for t in (0.0, 0.37, 1.0 + 1e-10):
-        want, want_d = vn.forward_batch(net, ys, np.full(n, t), x, a, tangent=True)
+        c = vn.cond_features(x, a, np.full(n, min(t, 1.0)), net.cfg)
+        both, dboth = vn.core_forward(vn.DualOps, net.params, (y_col, np.ones_like(y_col)),
+                                      c, net.cfg)
+        want = np.where(a == 1, both[:, 1], both[:, 0])
+        want_d = np.where(a == 1, dboth[:, 1], dboth[:, 0])
         assert f(ys, t).tobytes() == want.tobytes()
         got, got_d = fd(ys, t)
         assert got.tobytes() == want.tobytes()
