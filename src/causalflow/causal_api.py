@@ -4,6 +4,9 @@ The velocity net lives in standardized space. Every function here routes
 covariates and outcomes through the model's scaler on the way in and maps
 results (and log-density Jacobian corrections) back on the way out, so
 callers never see standardized values.
+
+Each public query checks x (_check_x) and a (check_treatment) once; the
+integrator below takes them as checked.
 """
 
 from __future__ import annotations
@@ -25,14 +28,13 @@ MAP_GRID = np.linspace(-3.0, 3.0, 33)  # base-noise candidates of map_po_batch
 
 
 def _check_x(model: FlowModel, x) -> np.ndarray:
+    """x as float64 of shape (n, d_x); a 1-D x is one row."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 1:
         x = x.reshape(1, -1)
     if x.ndim != 2 or x.shape[1] != model.cfg.d_x:
-        raise DimensionError(
-            f"covariates have {x.shape[-1] if x.ndim else 0} columns, "
-            f"model expects {model.cfg.d_x}"
-        )
+        n = x.shape[0] if x.ndim == 2 else "n"
+        raise DimensionError(f"x has shape {x.shape}, expected ({n}, {model.cfg.d_x})")
     return x
 
 
@@ -58,11 +60,16 @@ def decode_nodes(model: FlowModel, x, a, z, ode_cfg: oe.OdeConfig = oe.OdeConfig
     shaped (n, k), or (y, log p) when log_p is set.
     """
     x = _check_x(model, x)
+    return _decode_nodes(model, x, check_treatment(a, x.shape[0]), z, ode_cfg, log_p)
+
+
+def _decode_nodes(model: FlowModel, x: np.ndarray, a: np.ndarray, z, ode_cfg: oe.OdeConfig,
+                  log_p: bool = False):
+    """decode_nodes on x and a that _check_x and check_treatment returned."""
     n = x.shape[0]
     if np.ndim(z) not in (1, 2):
         raise DimensionError(f"nodes have shape {np.shape(z)}, expected (k,) or ({n}, k)")
     k = np.shape(z)[-1]
-    a = check_treatment(a, n)
     try:
         zs = np.broadcast_to(z, (n, k)).reshape(-1)
     except ValueError:
@@ -96,7 +103,8 @@ def sample_po_batch(model: FlowModel, x, a, n_samples: int = N_SAMPLES,
     Returns (y, log_p), both shaped (n_rows, n_samples), in original units.
     """
     x = _check_x(model, x)
-    return decode_nodes(model, x, a, _noise(seed, x.shape[0], n_samples), ode_cfg, log_p=True)
+    z = _noise(seed, x.shape[0], n_samples)
+    return _decode_nodes(model, x, check_treatment(a, x.shape[0]), z, ode_cfg, log_p=True)
 
 
 def sample_po(model: FlowModel, x, a: int, n_samples: int = N_SAMPLES,
@@ -104,8 +112,10 @@ def sample_po(model: FlowModel, x, a: int, n_samples: int = N_SAMPLES,
     x = _check_x(model, x)
     if x.shape[0] != 1:
         raise ContractError("sample_po takes a single covariate row")
-    y, log_p = sample_po_batch(model, x, a, n_samples, ode_cfg, seed)
-    return PoSampleSet(x=x[0].copy(), a=int(a), y=y[0], log_p=log_p[0], seed=seed)
+    z = _noise(seed, 1, n_samples)
+    a = check_treatment(a, 1)
+    y, log_p = _decode_nodes(model, x, a, z, ode_cfg, log_p=True)
+    return PoSampleSet(x=x[0].copy(), a=int(a[0]), y=y[0], log_p=log_p[0], seed=seed)
 
 
 def predict_counterfactual_batch(model: FlowModel, ys, x, a,
@@ -134,7 +144,7 @@ def estimate_cate(model: FlowModel, x, ode_cfg: oe.OdeConfig = oe.OdeConfig()) -
     x = _check_x(model, x)
     n = x.shape[0]
     z, w = GAUSS_HERMITE
-    y = decode_nodes(model, np.concatenate([x, x]), np.repeat([1, 0], n), z, ode_cfg)
+    y = _decode_nodes(model, np.concatenate([x, x]), np.repeat([1, 0], n), z, ode_cfg)
     return (y[:n] - y[n:]) @ w
 
 

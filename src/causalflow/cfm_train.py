@@ -14,7 +14,7 @@ import numpy as np
 
 from . import numkit as nk
 from .errors import ContractError, FitError, TrainingError
-from .scm_data import CausalDataset, PropensityModel, check_array_bytes, fit_propensity
+from .scm_data import CausalDataset, check_array_bytes
 from .velocity_net import NetConfig, VelocityNet, cond_features, core_forward, init
 
 
@@ -26,7 +26,6 @@ class TrainConfig:
     adam_beta1: float = 0.9
     adam_beta2: float = 0.999
     adam_eps: float = 1e-8
-    ipw: bool = False
     seed: int = 0
     loss_log_every: int = 1
 
@@ -65,14 +64,8 @@ def reference_velocity(y0, y1):
     return np.asarray(y1, dtype=np.float64) - np.asarray(y0, dtype=np.float64)
 
 
-def ipw_weights(ds: CausalDataset, pmodel: PropensityModel) -> np.ndarray:
-    """Inverse-propensity row weights a/w(x) + (1-a)/(1-w(x))."""
-    w = pmodel.predict(ds.x)
-    return ds.a / w + (1 - ds.a) / (1.0 - w)
-
-
-def cfm_loss(net: VelocityNet, y0, x, a, y1, ts, weights=None) -> tuple[float, nk.Tape]:
-    """Weighted mean squared velocity residual on one batch, with its tape.
+def cfm_loss(net: VelocityNet, y0, x, a, y1, ts) -> tuple[float, nk.Tape]:
+    """Mean squared velocity residual on one batch, with its tape.
 
     Noise y1 and times ts are drawn by the caller so the loss itself is a
     pure deterministic function of its arguments.
@@ -89,11 +82,6 @@ def cfm_loss(net: VelocityNet, y0, x, a, y1, ts, weights=None) -> tuple[float, n
         raise ContractError("cfm_loss: batch arrays disagree on length")
     if ts.min() < 0.0 or ts.max() > 1.0:
         raise ContractError("cfm_loss: times outside [0, 1]")
-    if weights is None:
-        weights = np.ones(n)
-    weights = np.asarray(weights, dtype=np.float64).reshape(-1)
-    if weights.shape != (n,) or np.any(weights < 0):
-        raise ContractError("cfm_loss: weights must be non-negative, one per row")
 
     phi = interpolant(y0, y1, ts).reshape(-1, 1)
     target = reference_velocity(y0, y1)
@@ -103,9 +91,9 @@ def cfm_loss(net: VelocityNet, y0, x, a, y1, ts, weights=None) -> tuple[float, n
     mask[rows, a] = 1.0
     neg_target_m = np.zeros((n, 2))
     neg_target_m[rows, a] = -target
-    # mean over the (n,2) masked matrix halves every term; the 2x in the
-    # weight mask restores a per-row mean of w_i * residual_i^2
-    weight_m = np.repeat(2.0 * weights.reshape(-1, 1), 2, axis=1)
+    # mean over the (n,2) masked matrix halves every term; the 2x mask
+    # restores a per-row mean of residual_i^2
+    weight_m = np.full((n, 2), 2.0)
 
     def build(tape, p):
         out = core_forward(tape, p, phi, c, net.cfg)
@@ -181,10 +169,6 @@ def train(ds: CausalDataset, net_cfg: NetConfig, train_cfg: TrainConfig
         raise FitError("training data must contain both treatment arms")
     check_batch_bytes(train_cfg, net_cfg)
 
-    row_weights = None
-    if train_cfg.ipw:
-        row_weights = ipw_weights(ds, fit_propensity(ds))
-
     net = init(net_cfg)
     # parameters, gradients and Adam moments live in flat vectors in
     # layer_shapes order; net.params holds reshaped views of theta
@@ -198,8 +182,7 @@ def train(ds: CausalDataset, net_cfg: NetConfig, train_cfg: TrainConfig
         idx = rng.integers(0, ds.n, size=train_cfg.batch_size)
         y1 = rng.standard_normal(train_cfg.batch_size)
         ts = rng.random(train_cfg.batch_size)
-        w = None if row_weights is None else row_weights[idx]
-        loss, tape = cfm_loss(net, ds.y[idx], ds.x[idx], ds.a[idx], y1, ts, w)
+        loss, tape = cfm_loss(net, ds.y[idx], ds.x[idx], ds.a[idx], y1, ts)
         if not np.isfinite(loss):
             raise TrainingError(f"non-finite loss at iteration {it}")
         grads = nk.tape_backward(tape)

@@ -53,15 +53,6 @@ def read_kv_config(path) -> dict[str, str]:
     return out
 
 
-def _parse_bool(key: str, raw: str) -> bool:
-    low = raw.lower()
-    if low in ("true", "1", "yes"):
-        return True
-    if low in ("false", "0", "no"):
-        return False
-    raise ConfigError(f"{key}: expected a boolean, got {raw!r}")
-
-
 def _parse_num(key: str, raw: str, cast):
     try:
         return cast(raw)
@@ -75,9 +66,7 @@ def _parse_floats(key: str, raw: str) -> tuple[float, ...]:
 
 
 def _parse_field(kind: str, key: str, raw: str):
-    """One value by its dataclass annotation: bool, str, float tuple, int (or int | None), float."""
-    if kind == "bool":
-        return _parse_bool(key, raw)
+    """One value by its dataclass annotation: str, float tuple, int (or int | None), float."""
     if kind == "str":
         return raw
     if kind.startswith("tuple"):

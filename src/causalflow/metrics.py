@@ -248,7 +248,7 @@ def mmd_a3_test(model: FlowModel, ds: CausalDataset,
     if n < 2:
         raise ContractError("mmd_a3_test needs at least 2 rows")
     sub = ds.take(np.arange(n))
-    x_std = model.scaler.transform_x(sub.x)
+    x_std = model.scaler.transform_x(api._check_x(model, sub.x))
     z = oe.encode_batch(model.net, model.scaler.transform_y(sub.y),
                         x_std, sub.a, ode_cfg)
     rng = np.random.default_rng([seed, 101])

@@ -7,10 +7,11 @@ divergence integral, so both share every RK4 stage. For a scalar outcome
 the divergence is dv/dy, which the net's forward-mode backend gives
 exactly alongside the velocity.
 
-Each entry point checks (x, a) once, then integrates each row block of
-the network's pass size end to end, so a query of any size holds one
-block's stage temporaries. A block's evaluator recomputes the conditioning
-projections only when the stage time changes.
+Entry points take x and a checked, as causal_api and CausalDataset leave
+them: float64 x of shape (n, d_x) and int64 a of shape (n,). Each row
+block of the network's pass size is integrated end to end, so a query of
+any size holds one block's stage temporaries. A block's evaluator
+recomputes the conditioning projections only when the stage time changes.
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ def _transport(net: VelocityNet, ys, x, a, t0: float, t1: float, n_steps: int,
     ys = np.asarray(ys, dtype=np.float64).reshape(-1)
     out = np.empty((2, ys.shape[0]) if logdet else ys.shape)
     sign = 1.0 if t1 > t0 else -1.0
-    for rows, vd in block_evaluators(net, ys.shape[0], x, a, tangent=logdet):
+    for rows, vd in block_evaluators(net, x, a, tangent=logdet):
         if logdet:
             def f(s, t, vd=vd):
                 v, d = vd(s[0], t)

@@ -15,14 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ContractError, DimensionError, FitError, GenerationError, NumericError,
-                     SchemaError)
+from .errors import ContractError, DimensionError, GenerationError, NumericError, SchemaError
 from .numkit import sigmoid_kernel
 
 PROPENSITY_CLIP = (0.01, 0.99)
-# fit_propensity's step budget, and the gradient norm at which it stops early
-PROPENSITY_MAX_STEPS = 10000
-PROPENSITY_TOL = 1e-6
 SD_FLOOR = 1e-12
 # The largest float64 array that a configured size may imply: 1 GiB. The
 # generator's n * d_x, training's batch_size times the net width and the
@@ -348,32 +344,3 @@ def standardize(ds: CausalDataset) -> tuple[CausalDataset, Scaler]:
         mu1=None if ds.mu1 is None else scaler.transform_y(ds.mu1),
         ycf=None if ds.ycf is None else scaler.transform_y(ds.ycf))
     return out, scaler
-
-
-@dataclass(frozen=True)
-class PropensityModel:
-    """Logistic P(A=1|x) with intercept; predictions clipped away from 0 and 1."""
-
-    coef: tuple[float, ...]  # (intercept, then d_x slopes)
-
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        z = self.coef[0] + x @ np.asarray(self.coef[1:])
-        return np.clip(sigmoid_kernel(z), *PROPENSITY_CLIP)
-
-
-def fit_propensity(ds: CausalDataset) -> PropensityModel:
-    """Full-batch gradient descent on the mean logistic deviance."""
-    if len(np.unique(ds.a)) < 2:
-        raise FitError("propensity fit needs both treatment arms")
-    xt = np.hstack([np.ones((ds.n, 1)), ds.x])
-    w = np.zeros(xt.shape[1])
-    # 1/lr bounds the curvature of the mean deviance along the data
-    lr = 4.0 / max(1.0, float(np.mean(np.sum(xt * xt, axis=1))))
-    target = ds.a.astype(np.float64)
-    for _ in range(PROPENSITY_MAX_STEPS):
-        g = xt.T @ (sigmoid_kernel(xt @ w) - target) / ds.n
-        if float(np.linalg.norm(g)) < PROPENSITY_TOL:
-            break
-        w -= lr * g
-    return PropensityModel(tuple(w))

@@ -57,8 +57,7 @@ class NetConfig:
             raise ContractError("d_x must be positive")
         if self.time_encoding not in ("scalar-append", "sinusoidal"):
             raise ContractError(f"unknown time_encoding {self.time_encoding!r}")
-        if (self.time_encoding == "sinusoidal"
-                and not 1 <= self.time_frequencies <= MAX_TIME_FREQUENCIES):
+        if not 1 <= self.time_frequencies <= MAX_TIME_FREQUENCIES:
             raise ContractError(f"time_frequencies must be in [1, {MAX_TIME_FREQUENCIES}], "
                                 f"got {self.time_frequencies}")
         if self.hidden_dim is not None and self.hidden_dim < 1:
@@ -274,16 +273,6 @@ def block_rows(cfg: NetConfig) -> int:
     return max(1, min(_ROW_BLOCK, _PASS_BYTES // (8 * max(cfg.hidden, cfg.cond_dim))))
 
 
-def _check_cond(net: VelocityNet, n: int, x, a) -> tuple[np.ndarray, np.ndarray]:
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        x = np.broadcast_to(x, (n, x.shape[0]))
-    if x.shape != (n, net.cfg.d_x):
-        raise DimensionError(
-            f"forward: x has shape {x.shape}, expected ({n}, {net.cfg.d_x})")
-    return x, check_treatment(a, n)
-
-
 def _arm(both: np.ndarray, arm1: np.ndarray) -> np.ndarray:
     """The selected arm's column of a both-arm output."""
     return np.where(arm1, both[:, 1], both[:, 0])
@@ -297,7 +286,12 @@ def forward_batch(net: VelocityNet, ys, ts, x, a) -> np.ndarray:
     """
     ys = np.asarray(ys, dtype=np.float64).reshape(-1)
     n = ys.shape[0]
-    x, a = _check_cond(net, n, x, a)
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim == 1:
+        x = np.broadcast_to(x, (n, x.shape[0]))
+    if x.shape != (n, net.cfg.d_x):
+        raise DimensionError(f"forward: x has shape {x.shape}, expected ({n}, {net.cfg.d_x})")
+    a = check_treatment(a, n)
     ts = np.asarray(ts, dtype=np.float64)
     try:
         ts = np.broadcast_to(ts, (n,))
@@ -316,7 +310,7 @@ def forward_batch(net: VelocityNet, ys, ts, x, a) -> np.ndarray:
 
 
 def _block_evaluator(net: VelocityNet, x: np.ndarray, a: np.ndarray, tangent: bool):
-    """f(ys, t) on one block of checked rows; see block_evaluators.
+    """f(ys, t) on one block of rows; see block_evaluators.
 
     The block's conditioning matrix and its biases, repeated to one row
     each, are built once, so every bias add is a same-shape add. The
@@ -350,20 +344,20 @@ def _block_evaluator(net: VelocityNet, x: np.ndarray, a: np.ndarray, tangent: bo
     return f
 
 
-def block_evaluators(net: VelocityNet, n: int, x, a, tangent: bool = False):
-    """(x, a) checked once, then (rows, f) for each block of block_rows rows.
+def block_evaluators(net: VelocityNet, x: np.ndarray, a: np.ndarray, tangent: bool = False):
+    """(rows, f) for each block of block_rows rows of x, float64 (n, d_x), and a, int64 (n,).
 
+    x and a are not checked here: causal_api and CausalDataset check them.
     f(ys, t) is the selected arm's velocity on the block's rows at the one
     time t, and with tangent the pair (v, dv/dy), the derivative taken by
     forward mode. Each block is built as it is drawn, so a caller that
     finishes one block before drawing the next holds at most two blocks'
     state however many rows it carries.
     """
-    x, a = _check_cond(net, n, x, a)
     step = block_rows(net.cfg)
     return ((slice(lo, lo + step),
              _block_evaluator(net, x[lo:lo + step], a[lo:lo + step], tangent))
-            for lo in range(0, n, step))
+            for lo in range(0, x.shape[0], step))
 
 
 @dataclass

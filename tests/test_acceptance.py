@@ -145,7 +145,8 @@ def test_cate_quadrature_is_within_1e3_of_a_gh64_reference(bench):
     z, w = hermegauss(64)
     w = w / w.sum()
     x_std = np.repeat(bench.x_std[:64], z.size, axis=0)
-    arms = [bench.scaler.inverse_y(decode_batch(bench.net, np.tile(z, 64), x_std, arm, ODE))
+    arms = [bench.scaler.inverse_y(decode_batch(bench.net, np.tile(z, 64), x_std,
+                                                np.full(64 * z.size, arm), ODE))
             .reshape(64, z.size) for arm in (1, 0)]
     want = (arms[0] - arms[1]) @ w
     err = float(np.max(np.abs(api.estimate_cate(bench.model, x, ODE) - want)))
@@ -185,7 +186,7 @@ def test_gate_07_density_normalizes(bench):
         i = int(rng.integers(0, bench.test_ds.n))
         a = int(rng.integers(0, 2))
         _, lp = encode_with_logdensity_batch(
-            bench.net, grid, np.tile(bench.x_std[i], (201, 1)), a, ODE)
+            bench.net, grid, np.tile(bench.x_std[i], (201, 1)), np.full(201, a), ODE)
         masses.append(float(np.trapezoid(np.exp(lp), grid)))
     ok = all(0.98 <= v <= 1.02 for v in masses)
     _verdict(7, ok, "masses " + ", ".join(f"{v:.4f}" for v in masses)
@@ -203,7 +204,7 @@ def test_gate_08_jvp_divergence_matches_central_difference(bench):
         a = int(rng.integers(0, 2))
         x = bench.x_std[i]
         hi, lo = forward_batch(bench.net, [y + s, y - s], t, np.tile(x, (2, 1)), a)
-        [(_, f)] = block_evaluators(bench.net, 1, x, a, tangent=True)
+        [(_, f)] = block_evaluators(bench.net, x.reshape(1, -1), np.array([a]), tangent=True)
         _, jvp = f(np.array([y]), t)
         worst = max(worst, abs(float(jvp[0]) - (hi - lo) / (2.0 * s)))
     _verdict(8, worst <= 1e-6, f"worst |jvp - central difference| {worst:.2e} "

@@ -6,6 +6,7 @@ from helpers import linear_net, symmetrize_arms
 
 from causalflow import causal_api as api
 from causalflow import ode_engine as oe
+from causalflow import scm_data as sd
 from causalflow import velocity_net as vn
 from causalflow.errors import ContractError, DimensionError
 from causalflow.scm_data import Scaler
@@ -40,6 +41,47 @@ def test_fractional_treatment_is_rejected(name, a):
     _A_ENTRY_POINTS[name](m, 0)  # the same call with a valid arm runs
 
 
+# every public query as f(model, x, a); estimate_cate takes no treatment
+_QUERIES = {
+    "po": lambda m, x, a: api.sample_po_batch(m, x, a, n_samples=3),
+    "po_single": lambda m, x, a: api.sample_po(m, x, a, n_samples=3),
+    "cf": lambda m, x, a: api.predict_counterfactual_batch(m, [0.3], x, a),
+    "cf_single": lambda m, x, a: api.predict_counterfactual(m, 0.3, x, a),
+    "cate": lambda m, x, a: api.estimate_cate(m, x),
+    "density": lambda m, x, a: api.log_density_batch(m, [0.3], x, a),
+    "density_single": lambda m, x, a: api.log_density(m, 0.3, x, a),
+    "map": lambda m, x, a: api.map_po_batch(m, x, a),
+    "decode_nodes": lambda m, x, a: api.decode_nodes(m, x, a, [-1.0, 0.5]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_QUERIES))
+def test_queries_check_conditioning(name):
+    m = _model(vn.init(vn.NetConfig(d_x=2, init_seed=1)))
+    if name != "cate":
+        with pytest.raises(ContractError, match="treatment must be 0 or 1"):
+            _QUERIES[name](m, np.zeros(2), 2)
+    with pytest.raises(DimensionError, match=r"x has shape \(1, 3\), expected \(1, 2\)"):
+        _QUERIES[name](m, np.zeros(3), 1)
+
+
+@pytest.mark.parametrize("name", sorted(_QUERIES))
+def test_each_query_checks_x_and_a_once(monkeypatch, name):
+    calls = {"check_treatment": 0, "_check_x": 0}
+    for fn in calls:
+        for module in (sd, vn, oe, api):
+            inner = getattr(module, fn, None)
+            if inner is not None:
+                def counting(*args, fn=fn, inner=inner):
+                    calls[fn] += 1
+                    return inner(*args)
+
+                monkeypatch.setattr(module, fn, counting)
+    m = _model(vn.init(vn.NetConfig(d_x=2, init_seed=1)))
+    _QUERIES[name](m, np.zeros((1, 2)), 1)
+    assert calls == {"check_treatment": int(name != "cate"), "_check_x": 1}
+
+
 def test_sample_po_zero_field_returns_noise_draws():
     m = _model(linear_net(d_x=2))
     ps = api.sample_po(m, [0.0, 0.0], a=1, n_samples=50, seed=3)
@@ -65,6 +107,10 @@ def test_sample_po_batch_rows_are_stream_independent():
     ps = api.sample_po(m, x[0], a=1, n_samples=8, seed=7)
     np.testing.assert_array_equal(y_b[0], ps.y)
     np.testing.assert_array_equal(lp_b[0], ps.log_p)
+    for a in ([1], np.array([1]), True):  # any treatment that check_treatment takes for one row
+        again = api.sample_po(m, x[0], a=a, n_samples=8, seed=7)
+        assert again.a == 1 and type(again.a) is int
+        np.testing.assert_array_equal(again.y, ps.y)
 
 
 def test_counterfactual_arm_blind_net_returns_factual():
@@ -191,6 +237,8 @@ def test_dimension_mismatch_names_both_sizes():
         api.sample_po(m, [0.0, 0.0], a=1, n_samples=2)
     with pytest.raises(DimensionError):
         api.predict_counterfactual_batch(m, [1.0, 2.0], np.zeros((3, 3)), 1)
+    with pytest.raises(DimensionError, match=r"x has shape \(1, 1, 3\), expected \(n, 3\)"):
+        api.estimate_cate(m, np.zeros((1, 1, 3)))
 
 
 def test_argument_validation():

@@ -45,15 +45,6 @@ def test_loss_single_row_matches_forward():
     assert abs(loss - expect) <= 1e-12
 
 
-def test_loss_weighted_single_row():
-    net = _tiny_net(seed=3)
-    y0, y1, t = np.array([0.4]), np.array([-1.1]), np.array([0.3])
-    x, a = np.array([[0.2, -0.7]]), np.array([0])
-    base, _ = ct.cfm_loss(net, y0, x, a, y1, t)
-    weighted, _ = ct.cfm_loss(net, y0, x, a, y1, t, weights=np.array([2.5]))
-    assert abs(weighted - 2.5 * base) <= 1e-12
-
-
 def test_loss_zero_for_zero_net_and_matched_noise():
     net = _tiny_net()
     net.params = {k: np.zeros_like(v) for k, v in net.params.items()}
@@ -71,24 +62,11 @@ def test_loss_matches_independent_batch_average():
     y0, y1 = rng.standard_normal(n), rng.standard_normal(n)
     ts, x = rng.random(n), rng.standard_normal((n, 2))
     a = rng.integers(0, 2, n)
-    w = rng.random(n) + 0.5
     phi = ct.interpolant(y0, y1, ts)
     v = vn.forward_batch(net, phi, ts, x, a)
-    expect = np.mean(w * (v - (y1 - y0)) ** 2)
-    loss, _ = ct.cfm_loss(net, y0, x, a, y1, ts, w)
+    expect = np.mean((v - (y1 - y0)) ** 2)
+    loss, _ = ct.cfm_loss(net, y0, x, a, y1, ts)
     assert abs(loss - expect) <= 1e-12
-
-
-def test_doubled_weights_double_loss():
-    net = _tiny_net(seed=5)
-    rng = np.random.default_rng(2)
-    n = 9
-    args = (rng.standard_normal(n), rng.standard_normal((n, 2)),
-            rng.integers(0, 2, n), rng.standard_normal(n), rng.random(n))
-    w = rng.random(n) + 0.1
-    l1, _ = ct.cfm_loss(net, *args, weights=w)
-    l2, _ = ct.cfm_loss(net, *args, weights=2.0 * w)
-    assert abs(l2 - 2.0 * l1) <= 1e-12
 
 
 def test_loss_gradients_match_finite_differences():
@@ -135,25 +113,6 @@ def test_loss_rejects_bad_batches():
                     np.zeros(2), np.array([0.5, 1.5]))
 
 
-def test_ipw_weight_values():
-    x = np.zeros((2, 1))
-    ds = sd.CausalDataset(x, np.array([1, 0]), np.zeros(2))
-    pm = sd.PropensityModel((0.0, 0.0))  # w(x) = 0.5 everywhere
-    np.testing.assert_allclose(ct.ipw_weights(ds, pm), [2.0, 2.0])
-
-    class Fixed:
-        def predict(self, x):
-            return np.full(x.shape[0], 0.25)
-
-    np.testing.assert_allclose(ct.ipw_weights(ds, Fixed()), [4.0, 4.0 / 3.0])
-
-
-def test_ipw_mean_near_two_on_balanced_data():
-    ds = sd.generate_ihdp_like(sd.default_config(n=4000, d_x=3, seed=21))
-    w = ct.ipw_weights(ds, sd.fit_propensity(ds))
-    assert abs(w.mean() - 2.0) / 2.0 < 0.05
-
-
 def test_adam_first_step_is_sign_scaled():
     cfg = ct.TrainConfig(lr=0.1)
     theta = np.array([1.0, -2.0])
@@ -188,7 +147,6 @@ def test_train_is_bit_deterministic():
 
 def _reference_train(ds, net_cfg, cfg):
     """train's loop with Adam applied tensor by tensor, as separate arrays."""
-    weights = ct.ipw_weights(ds, sd.fit_propensity(ds)) if cfg.ipw else None
     net = vn.init(net_cfg)
     m = {k: np.zeros_like(p) for k, p in net.params.items()}
     v = {k: np.zeros_like(p) for k, p in net.params.items()}
@@ -199,8 +157,7 @@ def _reference_train(ds, net_cfg, cfg):
         idx = rng.integers(0, ds.n, size=cfg.batch_size)
         y1 = rng.standard_normal(cfg.batch_size)
         ts = rng.random(cfg.batch_size)
-        w = None if weights is None else weights[idx]
-        loss, tape = ct.cfm_loss(net, ds.y[idx], ds.x[idx], ds.a[idx], y1, ts, w)
+        loss, tape = ct.cfm_loss(net, ds.y[idx], ds.x[idx], ds.a[idx], y1, ts)
         grads = nk.tape_backward(tape)
         c1, c2 = 1.0 - b1 ** it, 1.0 - b2 ** it
         for name, p in net.params.items():
@@ -213,11 +170,10 @@ def _reference_train(ds, net_cfg, cfg):
     return net, history
 
 
-@pytest.mark.parametrize("ipw", [False, True])
-def test_flat_adam_matches_per_tensor_adam_bit_for_bit(ipw):
+def test_flat_adam_matches_per_tensor_adam_bit_for_bit():
     ds, _ = _standardized(n=400)
     net_cfg = vn.NetConfig(d_x=3)
-    cfg = ct.TrainConfig(max_iters=40, lr=5e-3, ipw=ipw, seed=2)
+    cfg = ct.TrainConfig(max_iters=40, lr=5e-3, seed=2)
     net, rep = ct.train(ds, net_cfg, cfg)
     ref, history = _reference_train(ds, net_cfg, cfg)
     assert list(net.params) == list(ref.params)
@@ -242,14 +198,6 @@ def test_train_reduces_loss():
     assert rep.final_loss < first
     assert rep.loss_history[0][0] == 1
     assert len(rep.loss_history) == 300
-
-
-def test_train_ipw_runs_and_differs():
-    ds, _ = _standardized(n=300, seed=4)
-    base, _ = ct.train(ds, vn.NetConfig(d_x=3), ct.TrainConfig(batch_size=32, max_iters=20))
-    ipw, _ = ct.train(ds, vn.NetConfig(d_x=3),
-                      ct.TrainConfig(batch_size=32, max_iters=20, ipw=True))
-    assert any(not np.array_equal(base.params[k], ipw.params[k]) for k in base.params)
 
 
 @pytest.mark.filterwarnings("ignore:overflow")

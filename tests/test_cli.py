@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,10 +14,11 @@ from hypothesis import given, settings, strategies as st
 
 from causalflow import __version__, cli
 from causalflow import causal_api as api
+from causalflow.cfm_train import TrainConfig
 from causalflow.errors import ConfigError, ContractError
 from causalflow.ode_engine import OdeConfig
-from causalflow.scm_data import Scaler, load_csv
-from causalflow.velocity_net import FlowModel, load_model, save_model
+from causalflow.scm_data import DgpConfig, Scaler, load_csv
+from causalflow.velocity_net import FlowModel, NetConfig, load_model, save_model
 
 
 def _write(path, text):
@@ -68,13 +70,10 @@ def test_config_builders(tmp_path):
     with pytest.raises(ConfigError, match="banana"):
         cli.dgp_config_from_file(unknown)
 
-    t = _write(tmp_path / "t.cfg", "max_iters = 5\nipw = true\nlr = 0.1\n")
+    t = _write(tmp_path / "t.cfg", "max_iters = 5\nlr = 0.1\n")
     tc = cli.train_config_from_file(t)
-    assert tc.max_iters == 5 and tc.ipw is True and tc.lr == 0.1
+    assert tc.max_iters == 5 and tc.lr == 0.1
     assert cli.train_config_from_file(t, seed_override=3).seed == 3
-    badbool = _write(tmp_path / "t2.cfg", "ipw = maybe\n")
-    with pytest.raises(ConfigError, match="boolean"):
-        cli.train_config_from_file(badbool)
 
     n = _write(tmp_path / "n.cfg",
                "hidden_dim = 8\ntime_encoding = sinusoidal\ninit_seed = 2\n")
@@ -185,6 +184,29 @@ def test_predict_dimension_mismatch_exits_2(small_run, tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "5" in err and "2" in err
+    # a3test integrates without a causal_api query, so it checks the columns itself;
+    # one column would otherwise broadcast against the model's two scaler means
+    narrow_cfg = _write(tmp_path / "narrow.cfg", "n = 10\nd_x = 1\nseed = 1\n")
+    narrow = str(tmp_path / "narrow.csv")
+    assert cli.main(["generate", "--config", narrow_cfg, "--out", narrow]) == 0
+    for path, cols in ((other, 5), (narrow, 1)):
+        capsys.readouterr()
+        rc = cli.main(["a3test", "--model", model, "--data", path,
+                       "--out", str(tmp_path / "a.json")])
+        assert rc == 2
+        assert f"x has shape (10, {cols}), expected (10, 2)" in capsys.readouterr().err
+
+
+def test_model_file_from_an_ipw_run_still_predicts(small_run, tmp_path):
+    # train_meta is free-form, so a train_config key that TrainConfig lacks is ignored
+    _, _, _, data, model = small_run
+    doc = json.loads((tmp_path / "model.json").read_text())
+    doc["train_meta"]["train_config"]["ipw"] = True
+    old = _write(tmp_path / "old.json", json.dumps(doc))
+    for path, out in ((model, "new.csv"), (old, "old.csv")):
+        assert cli.main(["predict", "--model", path, "--data", data, "--mode", "cf",
+                         "--out", str(tmp_path / out), "--n-steps", "8"]) == 0
+    assert (tmp_path / "old.csv").read_bytes() == (tmp_path / "new.csv").read_bytes()
 
 
 def test_eval_report(small_run, tmp_path):
@@ -473,6 +495,20 @@ _EXIT_2_CASES = {
                                                      time_frequencies=1024)},
         "predict --model {d}/tf.json --data {data} --mode cf --out {d}/p.csv",
         "tf.json: net_config: time_frequencies must be in [1, 52]"),
+    # the range holds under scalar-append too, though that encoding never reads the value
+    "net-time-frequencies-negative-scalar-append": (
+        {"net.cfg": b"time_encoding = scalar-append\ntime_frequencies = -7\n"},
+        "train --data {data} --out {d}/m2.json --net-config {d}/net.cfg",
+        "net.cfg: time_frequencies must be in [1, 52], got -7"),
+    "model-time-frequencies-negative-scalar-append": (
+        {"tf.json": lambda model: _edited_net_config(model, time_encoding="scalar-append",
+                                                     time_frequencies=-7)},
+        "predict --model {d}/tf.json --data {data} --mode cf --out {d}/p.csv",
+        "tf.json: net_config: time_frequencies must be in [1, 52], got -7"),
+    # ipw is not a training key
+    "train-config-ipw": ({"tr.cfg": b"max_iters = 2\nipw = true\n"},
+                         "train --data {data} --out {d}/m2.json --train-config {d}/tr.cfg",
+                         "unknown training keys: ['ipw']"),
 }
 
 
@@ -667,13 +703,12 @@ def test_config_readers_load_or_raise_config_errors(scratch_dir, raw):
 
 def test_typed_config_reader_keeps_the_accepted_keys(tmp_path):
     train_keys = ["batch_size", "max_iters", "lr", "adam_beta1", "adam_beta2", "adam_eps",
-                  "ipw", "seed", "loss_log_every"]
-    vals = ["8", "3", "0.01", "0.8", "0.99", "1e-7", "yes", "5", "2"]
+                  "seed", "loss_log_every"]
+    vals = ["8", "3", "0.01", "0.8", "0.99", "1e-7", "5", "2"]
     t = _write(tmp_path / "t.cfg", "".join(f"{k} = {v}\n" for k, v in zip(train_keys, vals)))
     tc = cli.train_config_from_file(t)
     assert tc.to_dict() == dict(batch_size=8, max_iters=3, lr=0.01, adam_beta1=0.8,
-                                adam_beta2=0.99, adam_eps=1e-7, ipw=True, seed=5,
-                                loss_log_every=2)
+                                adam_beta2=0.99, adam_eps=1e-7, seed=5, loss_log_every=2)
     n = _write(tmp_path / "n.cfg", "hidden_dim = 6\ntime_encoding = sinusoidal\n"
                                    "time_frequencies = 2\ninit_seed = 4\n")
     assert cli.net_config_from_file(n, d_x=3).to_dict() == dict(
@@ -685,3 +720,18 @@ def test_typed_config_reader_keeps_the_accepted_keys(tmp_path):
             cli.net_config_from_file(bad, d_x=3)
     with pytest.raises(ConfigError, match="unknown training keys"):
         cli.train_config_from_file(n)
+
+
+def test_readme_config_table_lists_the_keys_each_file_accepts():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = text.split("## Config files", 1)[1].split("\n## ", 1)[0]
+    rows = {}
+    for line in section.splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if len(cells) == 2 and cells[0] in ("generator", "training", "network"):
+            # parenthesised text lists values, not keys
+            rows[cells[0]] = re.findall(r"`([^`]+)`", re.sub(r"\([^)]*\)", "", cells[1]))
+    fields = lambda cls, *skip: [k for k in cls.__dataclass_fields__ if k not in skip]
+    assert rows == {"generator": fields(DgpConfig, "propensity_coef"),
+                    "training": fields(TrainConfig),
+                    "network": fields(NetConfig, "d_x")}

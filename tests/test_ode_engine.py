@@ -40,22 +40,22 @@ def test_rk4_step_rejects_zero_h():
 
 def test_zero_field_encode_decode_identity():
     net = _linear_net()
-    x = np.zeros(2)
-    assert oe.encode_batch(net, [0.7], x, 1)[0] == 0.7
-    assert oe.decode_batch(net, [-1.3], x, 0)[0] == -1.3
+    x = np.zeros((1, 2))
+    assert oe.encode_batch(net, [0.7], x, np.array([1]))[0] == 0.7
+    assert oe.decode_batch(net, [-1.3], x, np.array([0]))[0] == -1.3
 
 
 def test_constant_field_shifts_by_c():
     net = _linear_net(intercept=0.8)
-    x = np.ones(2)
-    z = oe.encode_batch(net, [0.5], x, 1)
+    x, a = np.ones((1, 2)), np.array([1])
+    z = oe.encode_batch(net, [0.5], x, a)
     np.testing.assert_allclose(z, [1.3], atol=1e-12)
-    np.testing.assert_allclose(oe.decode_batch(net, z, x, 1), [0.5], atol=1e-12)
+    np.testing.assert_allclose(oe.decode_batch(net, z, x, a), [0.5], atol=1e-12)
 
 
 def test_linear_field_matches_exponential_flow():
     net = _linear_net(slope=1.0)
-    z = oe.encode_batch(net, [1.0], np.zeros(2), 0, oe.OdeConfig(n_steps=64))
+    z = oe.encode_batch(net, [1.0], np.zeros((1, 2)), np.array([0]), oe.OdeConfig(n_steps=64))
     np.testing.assert_allclose(z, [np.e], atol=1e-7)
 
 
@@ -74,13 +74,13 @@ def test_round_trip_random_net():
 def test_decode_monotone_in_z():
     net = vn.init(vn.NetConfig(d_x=2, init_seed=7))
     zs = np.linspace(-3, 3, 41)
-    ys = oe.decode_batch(net, zs, np.array([0.3, -0.2]), 1)
+    ys = oe.decode_batch(net, zs, np.tile([0.3, -0.2], (41, 1)), np.ones(41, dtype=np.int64))
     assert np.all(np.diff(ys) > 0)
 
 
 def _divergence(net, y, t, x, a):
     """dv/dy at one state, from the forward-mode evaluator."""
-    [(_, f)] = vn.block_evaluators(net, 1, x, a, tangent=True)
+    [(_, f)] = vn.block_evaluators(net, np.reshape(x, (1, -1)), np.array([a]), tangent=True)
     _, d = f(np.array([y]), t)
     return float(d[0])
 
@@ -108,11 +108,12 @@ def test_jvp_divergence_matches_central_difference():
 
 def test_logdensity_zero_field_standard_normal():
     net = _linear_net()
-    y, logp = oe.decode_with_logdensity_batch(net, np.array([0.0]), np.zeros(2), 1)
+    y, logp = oe.decode_with_logdensity_batch(net, np.array([0.0]), np.zeros((1, 2)),
+                                              np.array([1]))
     assert y[0] == 0.0
     np.testing.assert_allclose(logp[0], -0.5 * np.log(2 * np.pi), atol=1e-12)
     ys = np.array([-1.7, 0.3, 2.2])
-    _, logp2 = oe.encode_with_logdensity_batch(net, ys, np.zeros(2), 0)
+    _, logp2 = oe.encode_with_logdensity_batch(net, ys, np.zeros((3, 2)), np.zeros(3, np.int64))
     np.testing.assert_allclose(logp2, -0.5 * np.log(2 * np.pi) - 0.5 * ys * ys,
                                atol=1e-12)
 
@@ -120,7 +121,7 @@ def test_logdensity_zero_field_standard_normal():
 def test_logdensity_linear_field_adds_constant_divergence():
     net = _linear_net(slope=3.0)
     zs = np.array([-0.9, 0.0, 1.4])
-    _, logp = oe.decode_with_logdensity_batch(net, zs, np.ones(2), 0)
+    _, logp = oe.decode_with_logdensity_batch(net, zs, np.ones((3, 2)), np.zeros(3, np.int64))
     expect = -0.5 * np.log(2 * np.pi) - 0.5 * zs * zs + 3.0
     np.testing.assert_allclose(logp, expect, atol=1e-9)
 
@@ -140,9 +141,9 @@ def test_encode_decode_logdensity_path_consistency():
 def test_density_normalizes_on_random_net():
     net = vn.init(vn.NetConfig(d_x=2, init_seed=3))
     grid = np.linspace(-8.0, 8.0, 201)
-    x = np.array([0.4, -1.2])
+    x = np.tile([0.4, -1.2], (201, 1))
     for a in (0, 1):
-        _, logp = oe.encode_with_logdensity_batch(net, grid, x, a)
+        _, logp = oe.encode_with_logdensity_batch(net, grid, x, np.full(201, a))
         mass = np.trapezoid(np.exp(logp), grid)
         assert 0.98 <= mass <= 1.02
 
@@ -150,14 +151,14 @@ def test_density_normalizes_on_random_net():
 @pytest.mark.parametrize("t0, t1", [(0.0, 1.0), (1.0, 0.0)])
 def test_integrate_is_repeated_rk4_steps_on_the_time_grid(t0, t1):
     net = vn.init(vn.NetConfig(d_x=2, init_seed=1))
-    x = np.array([[0.1, 0.2]])
-    [(_, f)] = vn.block_evaluators(net, 1, x, 1)
+    x, a = np.array([[0.1, 0.2]]), np.array([1])
+    [(_, f)] = vn.block_evaluators(net, x, a)
     y, h = np.array([0.5]), (t1 - t0) / 16
     for k in range(16):
         y = oe.rk4_step(f, y, t0 + k * h, h)
     assert oe._integrate(f, [0.5], t0, t1, 16).tobytes() == y.tobytes()
     flow = oe.encode_batch if t0 == 0.0 else oe.decode_batch
-    assert flow(net, [0.5], x, 1, oe.OdeConfig(n_steps=16)).tobytes() == y.tobytes()
+    assert flow(net, [0.5], x, a, oe.OdeConfig(n_steps=16)).tobytes() == y.tobytes()
 
 
 def test_config_validation():
@@ -169,7 +170,7 @@ def test_config_validation():
 def test_exploding_field_raises_integration_error():
     net = _linear_net(slope=3000.0)
     with pytest.raises(IntegrationError):
-        oe.encode_batch(net, [1.0], np.zeros(2), 1)
+        oe.encode_batch(net, [1.0], np.zeros((1, 2)), np.array([1]))
 
 
 @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
@@ -180,7 +181,7 @@ def test_integration_error_names_the_rows(flow):
     net = _linear_net(slope=3000.0)
     # v = 3000 y: row 1 stays exactly 0, rows 0 and 2 blow up
     with pytest.raises(IntegrationError, match=r"in 2 row\(s\), first rows \[0, 2\]"):
-        flow(net, np.array([1.0, 0.0, 2.0]), np.zeros((3, 2)), 1)
+        flow(net, np.array([1.0, 0.0, 2.0]), np.zeros((3, 2)), np.ones(3, dtype=np.int64))
 
 
 def test_batch_matches_scalar_calls():
@@ -205,25 +206,6 @@ def test_logdensity_paths_match_plain_integration_on_single_rows():
         assert z.tobytes() == oe.encode_batch(net, y, x, a, cfg).tobytes()
         back, _ = oe.decode_with_logdensity_batch(net, y, x, a, cfg)
         assert back.tobytes() == oe.decode_batch(net, y, x, a, cfg).tobytes()
-
-
-_ENTRY_POINTS = [
-    lambda net, ys, x, a: oe.encode_batch(net, ys, x, a),
-    lambda net, ys, x, a: oe.decode_batch(net, ys, x, a),
-    lambda net, ys, x, a: oe.encode_with_logdensity_batch(net, ys, x, a),
-    lambda net, ys, x, a: oe.decode_with_logdensity_batch(net, ys, x, a),
-    lambda net, ys, x, a: vn.block_evaluators(net, 1, x, a, tangent=True),
-]
-
-
-@pytest.mark.parametrize("call", _ENTRY_POINTS)
-def test_entry_points_check_conditioning(call):
-    net = vn.init(vn.NetConfig(d_x=2, init_seed=1))
-    ys = np.array([0.3])
-    with pytest.raises(ContractError, match="treatment must be 0 or 1"):
-        call(net, ys, np.zeros(2), 2)
-    with pytest.raises(DimensionError, match=r"x has shape \(1, 3\), expected \(1, 2\)"):
-        call(net, ys, np.zeros(3), 1)
 
 
 def _reference_flow(net, ys, x, a, t0, t1, n_steps, logdet):
@@ -320,7 +302,7 @@ def test_integration_error_names_global_rows_of_a_later_block(flow):
     ys[vn.block_rows(net.cfg) + 7] = 1.0  # v = 3000 y blows up this row alone
     with pytest.raises(IntegrationError,
                        match=rf"in 1 row\(s\), first rows \[{vn.block_rows(net.cfg) + 7}\]"):
-        flow(net, ys, np.zeros((n, 2)), 1)
+        flow(net, ys, np.zeros((n, 2)), np.ones(n, dtype=np.int64))
 
 
 def _encode_peak_bytes(net, n):

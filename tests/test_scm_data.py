@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from causalflow import scm_data as sd
-from causalflow.errors import (ContractError, DimensionError, FitError, GenerationError,
-                               NumericError, SchemaError)
+from causalflow.errors import (ContractError, DimensionError, GenerationError, NumericError,
+                               SchemaError)
 
 
 def _cfg(**over):
@@ -282,47 +282,6 @@ def test_standardize_unit_moments(seed):
     np.testing.assert_allclose(out.y.mean(), 0.0, atol=1e-9)
     np.testing.assert_allclose(out.y.std(), 1.0, atol=1e-9)
     np.testing.assert_allclose(out.x.mean(axis=0), 0.0, atol=1e-9)
-
-
-def test_propensity_balanced_near_half():
-    # balanced assignment independent of x: fitted scores hug 0.5 everywhere
-    ds = sd.generate_ihdp_like(sd.default_config(n=2000, d_x=1, seed=0))
-    model = sd.fit_propensity(ds)
-    w = model.predict(ds.x)
-    assert np.all(np.abs(w - 0.5) < 0.05)
-
-
-def test_propensity_balanced_near_half_higher_dim():
-    ds = sd.generate_ihdp_like(_cfg(n=2000, seed=12))
-    w = sd.fit_propensity(ds).predict(ds.x)
-    assert abs(np.mean(w) - 0.5) < 0.02
-    assert np.quantile(np.abs(w - 0.5), 0.95) < 0.05
-
-
-def test_propensity_single_arm_rejected():
-    ds = sd.CausalDataset(np.zeros((5, 1)), np.ones(5, dtype=int), np.zeros(5))
-    with pytest.raises(FitError):
-        sd.fit_propensity(ds)
-
-
-def test_propensity_separable_stays_finite():
-    x = np.linspace(-1, 1, 40).reshape(-1, 1)
-    a = (x[:, 0] > 0).astype(int)
-    ds = sd.CausalDataset(x, a, np.zeros(40))
-    model = sd.fit_propensity(ds)
-    assert np.all(np.isfinite(model.coef))
-    w = model.predict(ds.x)
-    assert np.all((w >= 0.01) & (w <= 0.99))
-
-
-def test_propensity_clipping_bounds():
-    rng = np.random.default_rng(0)
-    x = rng.standard_normal((500, 1)) * 4.0
-    p = sd.sigmoid_kernel(3.0 * x[:, 0])
-    a = (rng.random(500) < p).astype(int)
-    ds = sd.CausalDataset(x, a, np.zeros(500))
-    w = sd.fit_propensity(ds).predict(ds.x)
-    assert w.min() >= 0.01 and w.max() <= 0.99
 
 
 @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN"])

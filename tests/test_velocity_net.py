@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from causalflow import causal_api as api
 from causalflow import numkit as nk
 from causalflow import velocity_net as vn
 from causalflow.errors import ConfigError, ContractError, DimensionError
-from causalflow.ode_engine import encode_batch
 from causalflow.scm_data import Scaler
 
 
@@ -113,13 +113,14 @@ def test_domain_and_dimension_errors():
 
 def test_per_row_vector_length_mismatch_names_argument():
     net = _net(d_x=2)
+    model = vn.FlowModel(net, Scaler.identity(2))
     calls = [
         ("a has shape \\(2,\\), expected \\(1,\\)",
-         lambda: encode_batch(net, [0.3], np.zeros((1, 2)), [0, 1])),
+         lambda: api.predict_counterfactual_batch(model, [0.3], np.zeros((1, 2)), [0, 1])),
         ("t has shape \\(3,\\), expected \\(2,\\)",
          lambda: vn.forward_batch(net, [0.1, 0.2], [0.1, 0.2, 0.3], np.zeros((2, 2)), 1)),
         ("a has shape \\(2,\\), expected \\(3,\\)",
-         lambda: vn.block_evaluators(net, 3, np.zeros((3, 2)), [0, 1])),
+         lambda: api.log_density_batch(model, [0.1, 0.2, 0.3], np.zeros((3, 2)), [0, 1])),
     ]
     for needle, call in calls:
         with pytest.raises(DimensionError, match=needle):
@@ -142,9 +143,10 @@ def test_time_frequencies_capped():
     top = vn.NetConfig(d_x=1, time_encoding="sinusoidal",
                        time_frequencies=vn.MAX_TIME_FREQUENCIES)
     assert np.isfinite(vn.encode_time(np.array([0.5]), top)).all()
-    for bad in (0, vn.MAX_TIME_FREQUENCIES + 1, 1100):
-        with pytest.raises(ContractError, match="time_frequencies"):
-            vn.NetConfig(d_x=1, time_encoding="sinusoidal", time_frequencies=bad)
+    for encoding in ("sinusoidal", "scalar-append"):
+        for bad in (-7, 0, vn.MAX_TIME_FREQUENCIES + 1, 1100):
+            with pytest.raises(ContractError, match="time_frequencies"):
+                vn.NetConfig(d_x=1, time_encoding=encoding, time_frequencies=bad)
 
 
 def test_model_file_res_blocks_fixed_at_two(tmp_path):
@@ -226,7 +228,7 @@ def test_model_file_version_and_tensor_errors(tmp_path):
 
 def _assembled(net, n, x, a, tangent=False):
     """f(ys, t) over all n rows, each block's result written into one array."""
-    blocks = list(vn.block_evaluators(net, n, x, a, tangent))
+    blocks = list(vn.block_evaluators(net, x, a, tangent))
 
     def f(ys, t):
         v, dv = np.empty(n), np.empty(n)
