@@ -27,15 +27,32 @@ GAUSS_HERMITE = (_z, _w / _w.sum())  # nodes and weights of E[f(z)], z ~ N(0, 1)
 MAP_GRID = np.linspace(-3.0, 3.0, 33)  # base-noise candidates of map_po_batch
 
 
+def _check_finite(name: str, v: np.ndarray) -> None:
+    """ContractError naming the first query row (v's first axis) with a nan or inf."""
+    bad = ~np.isfinite(v).all(axis=tuple(range(1, v.ndim)))
+    if bad.any():
+        raise ContractError(f"{name} is not finite in query row {np.argmax(bad)}")
+
+
 def _check_x(model: FlowModel, x) -> np.ndarray:
-    """x as float64 of shape (n, d_x); a 1-D x is one row."""
+    """x as finite float64 of shape (n, d_x); a 1-D x is one row."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 1:
         x = x.reshape(1, -1)
     if x.ndim != 2 or x.shape[1] != model.cfg.d_x:
         n = x.shape[0] if x.ndim == 2 else "n"
         raise DimensionError(f"x has shape {x.shape}, expected ({n}, {model.cfg.d_x})")
+    _check_finite("x", x)
     return x
+
+
+def _check_outcomes(ys, n: int) -> np.ndarray:
+    """ys as n finite float64 outcomes, one per query row."""
+    ys = np.asarray(ys, dtype=np.float64).reshape(-1)
+    if ys.shape[0] != n:
+        raise DimensionError(f"{ys.shape[0]} outcomes for {n} covariate rows")
+    _check_finite("y", ys)
+    return ys
 
 
 def _noise(seed: int, n: int, n_samples: int) -> np.ndarray:
@@ -71,10 +88,12 @@ def _decode_nodes(model: FlowModel, x: np.ndarray, a: np.ndarray, z, ode_cfg: oe
         raise DimensionError(f"nodes have shape {np.shape(z)}, expected (k,) or ({n}, k)")
     k = np.shape(z)[-1]
     try:
-        zs = np.broadcast_to(z, (n, k)).reshape(-1)
+        zs = np.broadcast_to(np.asarray(z, dtype=np.float64), (n, k))
     except ValueError:
         raise DimensionError(
             f"nodes have shape {np.shape(z)}, expected ({k},) or ({n}, {k})") from None
+    _check_finite("z", zs)
+    zs = zs.reshape(-1)
     big_x = np.repeat(model.scaler.transform_x(x), k, axis=0)
     big_a = np.repeat(a, k)
     if not log_p:
@@ -124,9 +143,7 @@ def predict_counterfactual_batch(model: FlowModel, ys, x, a,
     x = _check_x(model, x)
     n = x.shape[0]
     a = check_treatment(a, n)
-    ys = np.asarray(ys, dtype=np.float64).reshape(-1)
-    if ys.shape[0] != n:
-        raise DimensionError(f"{ys.shape[0]} outcomes for {n} covariate rows")
+    ys = _check_outcomes(ys, n)
     x_std = model.scaler.transform_x(x)
     z = oe.encode_batch(model.net, model.scaler.transform_y(ys), x_std, a, ode_cfg)
     y_cf = oe.decode_batch(model.net, z, x_std, 1 - a, ode_cfg)
@@ -160,9 +177,7 @@ def log_density_batch(model: FlowModel, ys, x, a,
     x = _check_x(model, x)
     n = x.shape[0]
     a = check_treatment(a, n)
-    ys = np.asarray(ys, dtype=np.float64).reshape(-1)
-    if ys.shape[0] != n:
-        raise DimensionError(f"{ys.shape[0]} outcomes for {n} covariate rows")
+    ys = _check_outcomes(ys, n)
     _, logp_std = oe.encode_with_logdensity_batch(
         model.net, model.scaler.transform_y(ys), model.scaler.transform_x(x),
         a, ode_cfg)

@@ -3,7 +3,8 @@
 Each iteration resamples a minibatch with replacement, draws one base-noise
 value and one time per row, pushes the straight-line interpolation between
 outcome and noise through the net on a tape, and regresses the selected
-head onto the difference (noise - outcome) with Adam updates.
+head onto the difference (noise - outcome) with Adam updates. Iteration 1
+records the tape; later iterations replay it on their own batch.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import numpy as np
 
 from . import numkit as nk
 from .errors import ContractError, FitError, TrainingError
-from .scm_data import CausalDataset, check_array_bytes
+from .scm_data import CausalDataset, check_array_bytes, check_treatment
 from .velocity_net import NetConfig, VelocityNet, cond_features, core_forward, init
 
 
@@ -64,11 +65,14 @@ def reference_velocity(y0, y1):
     return np.asarray(y1, dtype=np.float64) - np.asarray(y0, dtype=np.float64)
 
 
-def cfm_loss(net: VelocityNet, y0, x, a, y1, ts) -> tuple[float, nk.Tape]:
+def cfm_loss(net: VelocityNet, y0, x, a, y1, ts, tape: nk.Tape | None = None
+             ) -> tuple[float, nk.Tape]:
     """Mean squared velocity residual on one batch, with its tape.
 
     Noise y1 and times ts are drawn by the caller so the loss itself is a
-    pure deterministic function of its arguments.
+    pure deterministic function of its arguments. Given the tape of an
+    earlier call on the same net and batch size, cfm_loss writes this batch
+    into that tape's inputs and replays it rather than recording anew.
     """
     y0 = np.asarray(y0, dtype=np.float64).reshape(-1)
     n = y0.shape[0]
@@ -80,27 +84,31 @@ def cfm_loss(net: VelocityNet, y0, x, a, y1, ts) -> tuple[float, nk.Tape]:
     x = np.asarray(x, dtype=np.float64)
     if not (y1.shape == ts.shape == a.shape == (n,)) or x.shape != (n, net.cfg.d_x):
         raise ContractError("cfm_loss: batch arrays disagree on length")
-    if ts.min() < 0.0 or ts.max() > 1.0:
+    a = check_treatment(a, n)
+    if not (ts.min() >= 0.0 and ts.max() <= 1.0):  # a nan time fails both tests
         raise ContractError("cfm_loss: times outside [0, 1]")
 
-    phi = interpolant(y0, y1, ts).reshape(-1, 1)
-    target = reference_velocity(y0, y1)
-    c = cond_features(x, a.astype(np.int64), ts, net.cfg)
-    rows = np.arange(n)
-    mask = np.zeros((n, 2))
-    mask[rows, a] = 1.0
-    neg_target_m = np.zeros((n, 2))
-    neg_target_m[rows, a] = -target
-    # mean over the (n,2) masked matrix halves every term; the 2x mask
-    # restores a per-row mean of residual_i^2
-    weight_m = np.full((n, 2), 2.0)
+    phi, c, mask, neg_target_m = inputs = tape.inputs if tape is not None else (
+        np.empty((n, 1)), np.empty((n, net.cfg.cond_dim)), np.empty((n, 2)), np.empty((n, 2)))
+    if c.shape != (n, net.cfg.cond_dim):
+        raise ContractError(f"cfm_loss: the tape holds conditioning of shape {c.shape}, "
+                            f"not {(n, net.cfg.cond_dim)}")
+    phi[:, 0] = interpolant(y0, y1, ts)
+    c[:] = cond_features(x, a, ts, net.cfg)
+    mask[:, 0], mask[:, 1] = a == 0, a == 1
+    neg_target_m.fill(0.0)
+    neg_target_m[np.arange(n), a] = -reference_velocity(y0, y1)
 
     def build(tape, p):
         out = core_forward(tape, p, phi, c, net.cfg)
         resid = tape.add(tape.mul(out, mask), neg_target_m)
-        return tape.mean(tape.mul(tape.square(resid), weight_m))
+        # mean over the (n,2) masked matrix halves every term; the 2x mask
+        # restores a per-row mean of residual_i^2
+        return tape.mean(tape.mul(tape.square(resid), np.full((n, 2), 2.0)))
 
-    return nk.tape_forward(build, net.params)
+    loss, tape = nk.tape_forward(build, net.params, tape)
+    tape.inputs = inputs
+    return loss, tape
 
 
 class _AdamState:
@@ -178,11 +186,12 @@ def train(ds: CausalDataset, net_cfg: NetConfig, train_cfg: TrainConfig
     state = _AdamState(theta.size)
     rng = np.random.default_rng(train_cfg.seed)
     history: list[tuple[int, float]] = []
+    tape = None  # recorded at iteration 1, replayed after
     for it in range(1, train_cfg.max_iters + 1):
         idx = rng.integers(0, ds.n, size=train_cfg.batch_size)
         y1 = rng.standard_normal(train_cfg.batch_size)
         ts = rng.random(train_cfg.batch_size)
-        loss, tape = cfm_loss(net, ds.y[idx], ds.x[idx], ds.a[idx], y1, ts)
+        loss, tape = cfm_loss(net, ds.y[idx], ds.x[idx], ds.a[idx], y1, ts, tape)
         if not np.isfinite(loss):
             raise TrainingError(f"non-finite loss at iteration {it}")
         grads = nk.tape_backward(tape)

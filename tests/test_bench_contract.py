@@ -135,6 +135,23 @@ def test_train_reaches_loss_and_tape_through_module_attributes(monkeypatch):
     assert calls == {"cfm_loss": 3, "tape_forward": 3, "tape_backward": 3}
 
 
+def test_every_train_tape_has_79_nodes_recorded_or_replayed(monkeypatch):
+    # the tracer's numkit.tape_nodes averages len(tape.nodes) over tape_forward calls
+    nodes = []
+    inner = numkit.tape_forward
+
+    def counting(*args, **kwargs):
+        loss, tape = inner(*args, **kwargs)
+        nodes.append(len(tape.nodes))
+        return loss, tape
+
+    monkeypatch.setattr(numkit, "tape_forward", counting)
+    ds = scm_data.generate_ihdp_like(scm_data.default_config(n=60, d_x=10, seed=0))
+    cfm_train.train(ds, velocity_net.NetConfig(d_x=10),
+                    cfm_train.TrainConfig(batch_size=16, max_iters=3))
+    assert nodes == [79, 79, 79]
+
+
 def test_a3_test_reaches_mmd_through_the_module_attribute(monkeypatch):
     # the tracer patches metrics.mmd_squared for the a3test time and peak memory
     calls = {}

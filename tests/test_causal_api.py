@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -80,6 +81,56 @@ def test_each_query_checks_x_and_a_once(monkeypatch, name):
     m = _model(vn.init(vn.NetConfig(d_x=2, init_seed=1)))
     _QUERIES[name](m, np.zeros((1, 2)), 1)
     assert calls == {"check_treatment": int(name != "cate"), "_check_x": 1}
+
+
+def _fails_before_integrating(monkeypatch, call, match):
+    # the boundary rejects the input before any integration starts and with no
+    # numpy warning on the way
+    def no_integration(*args, **kwargs):
+        raise AssertionError("integrated a query with non-finite input")
+
+    for fn in ("encode_batch", "decode_batch", "encode_with_logdensity_batch",
+               "decode_with_logdensity_batch"):
+        monkeypatch.setattr(oe, fn, no_integration)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ContractError, match=match):
+            call()
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("name", sorted(_QUERIES))
+def test_queries_reject_non_finite_x_naming_the_first_bad_row(monkeypatch, name, bad):
+    m = _model(vn.init(vn.NetConfig(d_x=2, init_seed=1)))
+    x = np.zeros((3, 2))
+    x[2, 1] = x[1, 0] = bad
+    one_row = name.endswith("_single")
+    _fails_before_integrating(monkeypatch, lambda: _QUERIES[name](m, x[1] if one_row else x, 1),
+                              f"x is not finite in query row {0 if one_row else 1}$")
+
+
+def test_estimate_cate_on_one_inf_row_names_query_row_0(monkeypatch):
+    m = _model(vn.init(vn.NetConfig(d_x=2, init_seed=1)))
+    _fails_before_integrating(monkeypatch, lambda: api.estimate_cate(m, [[np.inf, 0.0]]),
+                              "x is not finite in query row 0$")
+
+
+@pytest.mark.parametrize("call, row", [
+    (lambda m: api.predict_counterfactual(m, np.inf, [0.1, 0.2], 1), 0),
+    (lambda m: api.predict_counterfactual_batch(m, [0.4, np.nan], np.zeros((2, 2)), [0, 1]), 1),
+    (lambda m: api.log_density(m, -np.inf, [0.1, 0.2], 0), 0),
+    (lambda m: api.log_density_batch(m, [0.4, np.inf], np.zeros((2, 2)), [1, 1]), 1),
+])
+def test_cf_and_density_reject_non_finite_outcomes(monkeypatch, call, row):
+    m = _model(vn.init(vn.NetConfig(d_x=2, init_seed=1)))
+    _fails_before_integrating(monkeypatch, lambda: call(m), f"y is not finite in query row {row}$")
+
+
+@pytest.mark.parametrize("z, row", [([0.5, np.nan], 0), ([[0.5, 0.1], [0.2, -np.inf]], 1)])
+def test_decode_nodes_rejects_non_finite_nodes(monkeypatch, z, row):
+    m = _model(vn.init(vn.NetConfig(d_x=2, init_seed=1)))
+    _fails_before_integrating(monkeypatch, lambda: api.decode_nodes(m, np.zeros((2, 2)), 1, z),
+                              f"z is not finite in query row {row}$")
 
 
 def test_sample_po_zero_field_returns_noise_draws():

@@ -113,6 +113,73 @@ def test_loss_rejects_bad_batches():
                     np.zeros(2), np.array([0.5, 1.5]))
 
 
+@pytest.mark.parametrize("a", [[0, 1, 1, -1], [0, 1, 1, 0.5], [0, 1, 1, 2]])
+def test_loss_rejects_treatments_other_than_0_and_1(a):
+    net, rng = _tiny_net(), np.random.default_rng(0)
+    with pytest.raises(ContractError, match="treatment must be 0 or 1"):
+        ct.cfm_loss(net, rng.standard_normal(4), rng.standard_normal((4, 2)), a,
+                    rng.standard_normal(4), rng.random(4))
+
+
+@pytest.mark.parametrize("bad", [np.nan, -0.1, 1.1, np.inf])
+def test_loss_rejects_times_outside_0_1_including_nan(bad):
+    net, rng = _tiny_net(), np.random.default_rng(0)
+    with pytest.raises(ContractError, match="times outside"):
+        ct.cfm_loss(net, rng.standard_normal(4), rng.standard_normal((4, 2)), [0, 1, 1, 0],
+                    rng.standard_normal(4), [0.5, 0.2, bad, 0.9])
+
+
+def _batch(rng, n, d_x):
+    return (rng.standard_normal(n), rng.standard_normal((n, d_x)), rng.integers(0, 2, n),
+            rng.standard_normal(n), rng.random(n))
+
+
+@pytest.mark.parametrize("net_cfg", [
+    vn.NetConfig(d_x=3), vn.NetConfig(d_x=3, time_encoding="sinusoidal", time_frequencies=3),
+    vn.NetConfig(d_x=1, hidden_dim=4)], ids=["scalar-append", "sinusoidal", "d_x=1"])
+def test_replayed_tape_equals_a_fresh_recording_bit_for_bit(net_cfg):
+    net = vn.init(net_cfg)
+    rng = np.random.default_rng(5)
+    tape = None
+    for it in range(5):
+        batch = _batch(rng, 9, net_cfg.d_x)
+        loss, tape = ct.cfm_loss(net, *batch, tape)
+        grads = nk.tape_backward(tape)
+        fresh_loss, fresh_tape = ct.cfm_loss(net, *batch)
+        assert (fresh_tape is not tape) and loss == fresh_loss, it
+        for name, g in nk.tape_backward(fresh_tape).items():
+            assert g.tobytes() == grads[name].tobytes(), (it, name)
+        for t in net.params.values():  # new values, the same arrays
+            t += 0.1 * rng.standard_normal(t.shape)
+
+
+def test_replay_needs_the_recorded_parameters_and_batch_size():
+    net = _tiny_net()
+    rng = np.random.default_rng(2)
+    _, tape = ct.cfm_loss(net, *_batch(rng, 4, 2))
+    with pytest.raises(ContractError, match=r"shape \(4, 4\), not \(5, 4\)"):
+        ct.cfm_loss(net, *_batch(rng, 5, 2), tape)
+    with pytest.raises(ContractError, match=r"shape \(4, 4\), not \(4, 5\)"):
+        ct.cfm_loss(_tiny_net(d_x=3), *_batch(rng, 4, 3), tape)
+    net.params = {k: v.copy() for k, v in net.params.items()}
+    with pytest.raises(ContractError, match="parameter arrays"):
+        ct.cfm_loss(net, *_batch(rng, 4, 2), tape)
+
+
+def test_train_records_one_tape(monkeypatch):
+    made = []
+
+    class CountingTape(nk.Tape):
+        def __init__(self):
+            super().__init__()
+            made.append(self)
+
+    monkeypatch.setattr(nk, "Tape", CountingTape)
+    ds, _ = _standardized(n=60)
+    ct.train(ds, vn.NetConfig(d_x=3), ct.TrainConfig(batch_size=16, max_iters=3))
+    assert len(made) == 1
+
+
 def test_adam_first_step_is_sign_scaled():
     cfg = ct.TrainConfig(lr=0.1)
     theta = np.array([1.0, -2.0])

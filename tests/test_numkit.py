@@ -179,6 +179,37 @@ def test_backward_twice_gives_equal_gradients():
         assert first[name].tobytes() == second[name].tobytes(), name
 
 
+def test_replay_refreshes_every_step_including_constants_only_ones():
+    # s = x * k holds no Var, so it adds no node, but its step still runs on replay
+    x, k = np.array([[1.0, 2.0]]), np.array([[3.0, -1.0]])
+    params = {"w": np.array([[0.5, 2.0]])}
+
+    def build(tape, p):
+        s = tape.mul(x, k)
+        return tape.mean(tape.square(tape.add(tape.mul(p["w"], s), tape.tanh(s))))
+
+    _, tape = nk.tape_forward(build, params)
+    nodes = len(tape.nodes)
+    x[:] = [[-0.25, 4.0]]
+    params["w"] *= -3.0
+    val, again = nk.tape_forward(build, params, tape)
+    fresh_val, fresh = nk.tape_forward(build, params)
+    assert again is tape and len(tape.nodes) == nodes
+    assert val == fresh_val
+    assert nk.tape_backward(tape)["w"].tobytes() == nk.tape_backward(fresh)["w"].tobytes()
+
+
+def test_replay_rejects_other_parameter_arrays():
+    def build(tape, p):
+        return tape.mean(tape.square(p["w"]))
+
+    _, tape = nk.tape_forward(build, {"w": np.ones((2, 2))})
+    with pytest.raises(ContractError, match="parameter arrays"):
+        nk.tape_forward(build, {"w": np.ones((2, 2))}, tape)
+    with pytest.raises(ContractError, match="recorded tape"):
+        nk.tape_forward(build, {}, nk.Tape())
+
+
 def test_backward_requires_scalar_root():
     with pytest.raises(ContractError):
         nk.tape_forward(lambda tape, p: tape.square(p["w"]), {"w": np.ones((2, 2))})
