@@ -5,8 +5,8 @@ covariates and outcomes through the model's scaler on the way in and maps
 results (and log-density Jacobian corrections) back on the way out, so
 callers never see standardized values.
 
-Each public query checks x (_check_x) and a (check_treatment) once; the
-integrator below takes them as checked.
+Each public query checks x (check_covariates) and a (check_treatment)
+once; the integrator below takes them as checked.
 """
 
 from __future__ import annotations
@@ -18,41 +18,13 @@ import numpy as np
 
 from . import ode_engine as oe
 from .errors import ContractError, DimensionError
-from .scm_data import check_treatment
+from .scm_data import check_covariates, check_finite, check_outcomes, check_treatment
 from .velocity_net import FlowModel
 
 N_SAMPLES = 100  # draws per row for po
 _z, _w = np.polynomial.hermite_e.hermegauss(16)
 GAUSS_HERMITE = (_z, _w / _w.sum())  # nodes and weights of E[f(z)], z ~ N(0, 1)
 MAP_GRID = np.linspace(-3.0, 3.0, 33)  # base-noise candidates of map_po_batch
-
-
-def _check_finite(name: str, v: np.ndarray) -> None:
-    """ContractError naming the first query row (v's first axis) with a nan or inf."""
-    bad = ~np.isfinite(v).all(axis=tuple(range(1, v.ndim)))
-    if bad.any():
-        raise ContractError(f"{name} is not finite in query row {np.argmax(bad)}")
-
-
-def _check_x(model: FlowModel, x) -> np.ndarray:
-    """x as finite float64 of shape (n, d_x); a 1-D x is one row."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        x = x.reshape(1, -1)
-    if x.ndim != 2 or x.shape[1] != model.cfg.d_x:
-        n = x.shape[0] if x.ndim == 2 else "n"
-        raise DimensionError(f"x has shape {x.shape}, expected ({n}, {model.cfg.d_x})")
-    _check_finite("x", x)
-    return x
-
-
-def _check_outcomes(ys, n: int) -> np.ndarray:
-    """ys as n finite float64 outcomes, one per query row."""
-    ys = np.asarray(ys, dtype=np.float64).reshape(-1)
-    if ys.shape[0] != n:
-        raise DimensionError(f"{ys.shape[0]} outcomes for {n} covariate rows")
-    _check_finite("y", ys)
-    return ys
 
 
 def _noise(seed: int, n: int, n_samples: int) -> np.ndarray:
@@ -76,13 +48,13 @@ def decode_nodes(model: FlowModel, x, a, z, ode_cfg: oe.OdeConfig = oe.OdeConfig
     z is (k,), shared by all rows, or (n, k), one set per row. Returns y
     shaped (n, k), or (y, log p) when log_p is set.
     """
-    x = _check_x(model, x)
+    x = check_covariates(x, model.cfg.d_x)
     return _decode_nodes(model, x, check_treatment(a, x.shape[0]), z, ode_cfg, log_p)
 
 
 def _decode_nodes(model: FlowModel, x: np.ndarray, a: np.ndarray, z, ode_cfg: oe.OdeConfig,
                   log_p: bool = False):
-    """decode_nodes on x and a that _check_x and check_treatment returned."""
+    """decode_nodes on x and a that check_covariates and check_treatment returned."""
     n = x.shape[0]
     if np.ndim(z) not in (1, 2):
         raise DimensionError(f"nodes have shape {np.shape(z)}, expected (k,) or ({n}, k)")
@@ -92,7 +64,7 @@ def _decode_nodes(model: FlowModel, x: np.ndarray, a: np.ndarray, z, ode_cfg: oe
     except ValueError:
         raise DimensionError(
             f"nodes have shape {np.shape(z)}, expected ({k},) or ({n}, {k})") from None
-    _check_finite("z", zs)
+    check_finite("z", zs)
     zs = zs.reshape(-1)
     big_x = np.repeat(model.scaler.transform_x(x), k, axis=0)
     big_a = np.repeat(a, k)
@@ -121,14 +93,14 @@ def sample_po_batch(model: FlowModel, x, a, n_samples: int = N_SAMPLES,
 
     Returns (y, log_p), both shaped (n_rows, n_samples), in original units.
     """
-    x = _check_x(model, x)
+    x = check_covariates(x, model.cfg.d_x)
     z = _noise(seed, x.shape[0], n_samples)
     return _decode_nodes(model, x, check_treatment(a, x.shape[0]), z, ode_cfg, log_p=True)
 
 
 def sample_po(model: FlowModel, x, a: int, n_samples: int = N_SAMPLES,
               ode_cfg: oe.OdeConfig = oe.OdeConfig(), seed: int = 0) -> PoSampleSet:
-    x = _check_x(model, x)
+    x = check_covariates(x, model.cfg.d_x)
     if x.shape[0] != 1:
         raise ContractError("sample_po takes a single covariate row")
     z = _noise(seed, 1, n_samples)
@@ -140,10 +112,10 @@ def sample_po(model: FlowModel, x, a: int, n_samples: int = N_SAMPLES,
 def predict_counterfactual_batch(model: FlowModel, ys, x, a,
                                  ode_cfg: oe.OdeConfig = oe.OdeConfig()) -> np.ndarray:
     """Abduct noise under the factual arm, replay it under the flipped arm."""
-    x = _check_x(model, x)
+    x = check_covariates(x, model.cfg.d_x)
     n = x.shape[0]
     a = check_treatment(a, n)
-    ys = _check_outcomes(ys, n)
+    ys = check_outcomes(ys, n)
     x_std = model.scaler.transform_x(x)
     z = oe.encode_batch(model.net, model.scaler.transform_y(ys), x_std, a, ode_cfg)
     y_cf = oe.decode_batch(model.net, z, x_std, 1 - a, ode_cfg)
@@ -158,7 +130,7 @@ def predict_counterfactual(model: FlowModel, y: float, x, a: int,
 
 def estimate_cate(model: FlowModel, x, ode_cfg: oe.OdeConfig = oe.OdeConfig()) -> np.ndarray:
     """Per-row E[Y(1) - Y(0) | x]: both arms decode the same Gauss-Hermite nodes."""
-    x = _check_x(model, x)
+    x = check_covariates(x, model.cfg.d_x)
     n = x.shape[0]
     z, w = GAUSS_HERMITE
     y = _decode_nodes(model, np.concatenate([x, x]), np.repeat([1, 0], n), z, ode_cfg)
@@ -174,10 +146,10 @@ def map_po_batch(model: FlowModel, x, a, ode_cfg: oe.OdeConfig = oe.OdeConfig())
 def log_density_batch(model: FlowModel, ys, x, a,
                       ode_cfg: oe.OdeConfig = oe.OdeConfig()) -> np.ndarray:
     """Exact log p(y | x, a) in original units (change of variables for y)."""
-    x = _check_x(model, x)
+    x = check_covariates(x, model.cfg.d_x)
     n = x.shape[0]
     a = check_treatment(a, n)
-    ys = _check_outcomes(ys, n)
+    ys = check_outcomes(ys, n)
     _, logp_std = oe.encode_with_logdensity_batch(
         model.net, model.scaler.transform_y(ys), model.scaler.transform_x(x),
         a, ode_cfg)

@@ -47,13 +47,6 @@ class TrainConfig:
         return asdict(self)
 
 
-@dataclass
-class TrainReport:
-    loss_history: list[tuple[int, float]]
-    final_loss: float
-    iters_run: int
-
-
 def interpolant(y0, y1, t):
     """Straight line from data (t=0) to noise (t=1)."""
     y0, y1, t = (np.asarray(v, dtype=np.float64) for v in (y0, y1, t))
@@ -165,11 +158,11 @@ def check_batch_bytes(train_cfg: TrainConfig, net_cfg: NetConfig) -> None:
 
 
 def train(ds: CausalDataset, net_cfg: NetConfig, train_cfg: TrainConfig
-          ) -> tuple[VelocityNet, TrainReport]:
+          ) -> tuple[VelocityNet, list[tuple[int, float]]]:
     """Fit the velocity net on a (standardized) dataset.
 
-    Returns the trained net and a report whose loss history holds the
-    pre-update loss at iteration 1 and every loss_log_every-th iteration.
+    Returns the trained net and its loss history: (iteration, pre-update
+    loss) at iteration 1, every loss_log_every-th iteration and the last.
     """
     if ds.d_x != net_cfg.d_x:
         raise ContractError(f"data has d_x={ds.d_x}, net expects {net_cfg.d_x}")
@@ -197,6 +190,6 @@ def train(ds: CausalDataset, net_cfg: NetConfig, train_cfg: TrainConfig
         grads = nk.tape_backward(tape)
         np.concatenate([grads[name].reshape(-1) for name in net.params], out=grad)
         _adam_step(theta, grad, state, train_cfg)
-        if it == 1 or it % train_cfg.loss_log_every == 0:
+        if it == 1 or it % train_cfg.loss_log_every == 0 or it == train_cfg.max_iters:
             history.append((it, loss))
-    return net, TrainReport(history, history[-1][1], train_cfg.max_iters)
+    return net, history

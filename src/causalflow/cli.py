@@ -181,10 +181,11 @@ def cmd_train(args) -> Run:
     ds = load_csv(args.data)
     train_cfg, net_cfg = _fit_configs(args, ds.d_x)
     std_ds, scaler = standardize(ds)
-    net, report = train(std_ds, net_cfg, train_cfg)
+    net, history = train(std_ds, net_cfg, train_cfg)
+    iters_run, final_loss = history[-1]
     model = FlowModel(net=net, scaler=scaler, train_meta={
-        "final_loss": report.final_loss,
-        "iters_run": report.iters_run,
+        "final_loss": final_loss,
+        "iters_run": iters_run,
         "n_rows": ds.n,
         "train_config": train_cfg.to_dict(),
     })
@@ -192,9 +193,9 @@ def cmd_train(args) -> Run:
     loss_path = _loss_csv_path(args.out)
     with atomic_write(loss_path) as fh:
         fh.write("iter,loss\n")
-        for it, loss in report.loss_history:
+        for it, loss in history:
             fh.write(f"{it},{fmt_float(loss)}\n")
-    return Run(f"trained {report.iters_run} iters, final loss {report.final_loss:.6f}, "
+    return Run(f"trained {iters_run} iters, final loss {final_loss:.6f}, "
                f"model at {args.out}", {"train_seed": train_cfg.seed}, [args.data],
                [args.out, loss_path],
                {"train_config": args.train_config, "net_config": args.net_config})
@@ -226,13 +227,15 @@ def cmd_predict(args) -> Run:
                [args.model, args.data], [args.out])
 
 
-def _eval_once(model, tr, te, args) -> dict:
+def _eval_once(model, tr, te, args, seed: int) -> dict:
     return mt.evaluate_all(model, tr, te, OdeConfig(n_steps=args.n_steps),
-                           seed=args.seed, max_rows=args.max_rows,
+                           seed=seed, max_rows=args.max_rows,
                            noise_sd=args.noise_sd)
 
 
 def cmd_eval(args) -> Run:
+    seed = args.seed or 0  # for the folds and the MMD draws; training reads args.seed
+    seeds = {"seed": seed}
     if args.folds is not None:
         if args.folds < 2:
             raise ConfigError("k-fold needs at least 2 folds")
@@ -244,7 +247,8 @@ def cmd_eval(args) -> Run:
             raise ContractError(
                 f"{ds.n} rows cannot support {args.folds} folds")
         train_cfg, net_cfg = _fit_configs(args, ds.d_x)
-        fold_of = np.random.default_rng(args.seed).permutation(ds.n) % args.folds
+        seeds["train_seed"] = train_cfg.seed
+        fold_of = np.random.default_rng(seed).permutation(ds.n) % args.folds
         folds = []
         for k in range(args.folds):
             tr_ds = ds.take(np.flatnonzero(fold_of != k))
@@ -252,7 +256,7 @@ def cmd_eval(args) -> Run:
             std_tr, scaler = standardize(tr_ds)
             net, _ = train(std_tr, net_cfg, train_cfg)
             model = FlowModel(net=net, scaler=scaler)
-            folds.append(_eval_once(model, tr_ds, te_ds, args))
+            folds.append(_eval_once(model, tr_ds, te_ds, args, seed))
         mean = {
             name: {tag: float(np.mean([f["metrics"][name][tag] for f in folds]))
                    for tag in ("in", "out")}
@@ -267,9 +271,9 @@ def cmd_eval(args) -> Run:
         model = load_model(args.model)
         tr, te = load_csv(args.train_data), load_csv(args.test_data)
         inputs = [args.model, args.train_data, args.test_data]
-        doc = _eval_once(model, tr, te, args)
+        doc = _eval_once(model, tr, te, args, seed)
     write_json(doc, args.out)
-    return Run(f"wrote evaluation report to {args.out}", {"seed": args.seed}, inputs,
+    return Run(f"wrote evaluation report to {args.out}", seeds, inputs,
                [args.out], {"train_config": args.train_config, "net_config": args.net_config})
 
 
@@ -339,7 +343,8 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--train-config")
     e.add_argument("--net-config")
     e.add_argument("--out", required=True)
-    e.add_argument("--seed", type=_int_at_least(0), default=0)
+    e.add_argument("--seed", type=_int_at_least(0),
+                   help="fold and MMD seed, default 0; when given, also the training seed")
     e.add_argument("--n-steps", type=_int_at_least(1), default=OdeConfig.n_steps)
     e.add_argument("--max-rows", type=_int_at_least(1), default=mt.MAX_ROWS)
     e.add_argument("--noise-sd", type=float, default=1.0)

@@ -17,7 +17,7 @@ import numpy as np
 from . import causal_api as api
 from . import ode_engine as oe
 from .errors import ContractError, DimensionError, NumericError
-from .scm_data import CausalDataset
+from .scm_data import CausalDataset, check_covariates
 from .velocity_net import FlowModel
 
 MAX_ROWS = 128  # rows per split that evaluate_all and mmd_a3_test use
@@ -248,7 +248,7 @@ def mmd_a3_test(model: FlowModel, ds: CausalDataset,
     if n < 2:
         raise ContractError("mmd_a3_test needs at least 2 rows")
     sub = ds.take(np.arange(n))
-    x_std = model.scaler.transform_x(api._check_x(model, sub.x))
+    x_std = model.scaler.transform_x(check_covariates(sub.x, model.cfg.d_x))
     z = oe.encode_batch(model.net, model.scaler.transform_y(sub.y),
                         x_std, sub.a, ode_cfg)
     rng = np.random.default_rng([seed, 101])

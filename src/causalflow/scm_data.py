@@ -96,6 +96,34 @@ def check_treatment(a, n: int) -> np.ndarray:
     return a.astype(np.int64)
 
 
+def check_finite(name: str, v: np.ndarray) -> None:
+    """ContractError naming the first query row (v's first axis) with a nan or inf."""
+    bad = ~np.isfinite(v).all(axis=tuple(range(1, v.ndim)))
+    if bad.any():
+        raise ContractError(f"{name} is not finite in query row {np.argmax(bad)}")
+
+
+def check_covariates(x, d_x: int) -> np.ndarray:
+    """x as finite float64 of shape (n, d_x); a 1-D x is one row."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim == 1:
+        x = x.reshape(1, -1)
+    if x.ndim != 2 or x.shape[1] != d_x:
+        n = x.shape[0] if x.ndim == 2 else "n"
+        raise DimensionError(f"x has shape {x.shape}, expected ({n}, {d_x})")
+    check_finite("x", x)
+    return x
+
+
+def check_outcomes(ys, n: int) -> np.ndarray:
+    """ys as n finite float64 outcomes, one per query row."""
+    ys = np.asarray(ys, dtype=np.float64).reshape(-1)
+    if ys.shape[0] != n:
+        raise DimensionError(f"{ys.shape[0]} outcomes for {n} covariate rows")
+    check_finite("y", ys)
+    return ys
+
+
 @dataclass
 class CausalDataset:
     """Rows of (covariates, binary treatment, outcome) plus optional truth columns."""
@@ -222,11 +250,11 @@ def load_csv(path) -> CausalDataset:
     """Parse a dataset CSV.
 
     The header must contain x0..x{d-1}, a, y; mu0/mu1/ycf are optional.
-    Raises SchemaError for header problems, for a wrong field count, a
-    non-numeric cell or a treatment other than 0/1 (naming the 1-based data
-    row), for nan/inf cells (naming the row and the column), and for a file
-    that is not UTF-8 text or not CSV. A leading UTF-8 byte-order mark, as
-    spreadsheet programs write it, is skipped.
+    Raises SchemaError for header problems (a duplicated column among them),
+    for a wrong field count, a non-numeric cell or a treatment other than
+    0/1 (naming the 1-based data row), for nan/inf cells (naming the row and
+    the column), and for a file that is not UTF-8 text or not CSV. A leading
+    UTF-8 byte-order mark, as spreadsheet programs write it, is skipped.
     """
     try:
         with open(path, "r", newline="", encoding="utf-8-sig") as fh:
@@ -239,6 +267,10 @@ def load_csv(path) -> CausalDataset:
         raise SchemaError(f"{path}: empty file")
 
     header = [h.strip() for h in header]
+    idx = {h: k for k, h in enumerate(header)}
+    if len(idx) < len(header):  # idx keeps the last of equal names
+        dup = next(h for k, h in enumerate(header) if idx[h] != k)
+        raise SchemaError(f"{path}: duplicate column {dup!r}")
     x_cols = sorted((h for h in header if h.startswith("x") and h[1:].isdecimal()),
                     key=lambda h: int(h[1:]))
     d = len(x_cols)
@@ -247,7 +279,6 @@ def load_csv(path) -> CausalDataset:
     for required in ("a", "y"):
         if required not in header:
             raise SchemaError(f"{path}: missing mandatory column {required!r}")
-    idx = {h: k for k, h in enumerate(header)}
 
     n = len(rows)
     x = np.empty((n, d))

@@ -22,7 +22,8 @@ import numpy as np
 
 from .errors import ConfigError, ContractError, DimensionError
 from .numkit import sigmoid_kernel
-from .scm_data import Scaler, check_array_bytes, check_treatment, write_json
+from .scm_data import (Scaler, check_array_bytes, check_covariates, check_outcomes,
+                       check_treatment, write_json)
 
 MODEL_FORMAT_VERSION = 1
 _T_TOL = 1e-9
@@ -278,34 +279,23 @@ def _arm(both: np.ndarray, arm1: np.ndarray) -> np.ndarray:
     return np.where(arm1, both[:, 1], both[:, 0])
 
 
-def forward_batch(net: VelocityNet, ys, ts, x, a) -> np.ndarray:
-    """Velocity of the selected arm for each row, after checking every input.
+def forward_batch(net: VelocityNet, ys, t, x, a) -> np.ndarray:
+    """Velocity of the selected arm for each row at the one time t, after checking every input.
 
-    Rows pass through the network in blocks of block_rows. Rows are
-    independent, so the result equals one pass over all rows bit for bit.
+    x, a and ys follow scm_data's rules; t is a scalar in [0, 1]. Rows run
+    through block_evaluators.
     """
-    ys = np.asarray(ys, dtype=np.float64).reshape(-1)
-    n = ys.shape[0]
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        x = np.broadcast_to(x, (n, x.shape[0]))
-    if x.shape != (n, net.cfg.d_x):
-        raise DimensionError(f"forward: x has shape {x.shape}, expected ({n}, {net.cfg.d_x})")
+    x = check_covariates(x, net.cfg.d_x)
+    n = x.shape[0]
     a = check_treatment(a, n)
-    ts = np.asarray(ts, dtype=np.float64)
-    try:
-        ts = np.broadcast_to(ts, (n,))
-    except ValueError:
-        raise DimensionError(f"forward: t has shape {ts.shape}, expected ({n},)") from None
-    if n and (ts.min() < -_T_TOL or ts.max() > 1.0 + _T_TOL):
-        raise ContractError(f"t outside [0, 1]: range [{ts.min()}, {ts.max()}]")
-    c = cond_features(x, a, np.clip(ts, 0.0, 1.0), net.cfg)
+    ys = check_outcomes(ys, n)
+    if np.ndim(t) != 0:
+        raise DimensionError(f"forward: t has shape {np.shape(t)}, expected a scalar")
+    if not -_T_TOL <= t <= 1.0 + _T_TOL:
+        raise ContractError(f"t outside [0, 1]: {t}")
     v = np.empty(n)
-    step = block_rows(net.cfg)
-    for lo in range(0, n, step):
-        rows = slice(lo, lo + step)
-        v[rows] = _arm(core_forward(_NumpyOps, net.params, ys[rows].reshape(-1, 1), c[rows],
-                                    net.cfg), a[rows] == 1)
+    for rows, f in block_evaluators(net, x, a):
+        v[rows] = f(ys[rows], t)
     return v
 
 
@@ -329,8 +319,6 @@ def _block_evaluator(net: VelocityNet, x: np.ndarray, a: np.ndarray, tangent: bo
 
     def f(ys, t):
         nonlocal last_t, proj
-        if not -_T_TOL <= t <= 1.0 + _T_TOL:
-            raise ContractError(f"t outside [0, 1]: {t}")
         t = min(max(t, 0.0), 1.0)
         if t != last_t:
             c[:, cfg.d_x + 1:] = encode_time(np.array([t]), cfg)
@@ -347,12 +335,12 @@ def _block_evaluator(net: VelocityNet, x: np.ndarray, a: np.ndarray, tangent: bo
 def block_evaluators(net: VelocityNet, x: np.ndarray, a: np.ndarray, tangent: bool = False):
     """(rows, f) for each block of block_rows rows of x, float64 (n, d_x), and a, int64 (n,).
 
-    x and a are not checked here: causal_api and CausalDataset check them.
-    f(ys, t) is the selected arm's velocity on the block's rows at the one
-    time t, and with tangent the pair (v, dv/dy), the derivative taken by
-    forward mode. Each block is built as it is drawn, so a caller that
-    finishes one block before drawing the next holds at most two blocks'
-    state however many rows it carries.
+    Nothing is checked here: x, a and t come from causal_api, CausalDataset,
+    RK4 grids or forward_batch. f(ys, t) is the selected arm's velocity on
+    the block's rows at the one time t, clamped to [0, 1], and with tangent
+    the pair (v, dv/dy), the derivative taken by forward mode. Each block is
+    built as it is drawn, so a caller that finishes one block before drawing
+    the next holds at most two blocks' state however many rows it carries.
     """
     step = block_rows(net.cfg)
     return ((slice(lo, lo + step),

@@ -45,13 +45,13 @@ def bench():
     train_ds, test_ds = split(ds, 0.1, seed=0)
     std_train, scaler = standardize(train_ds)
     t0 = time.perf_counter()
-    net, report = train(std_train, NetConfig(d_x=10),
+    net, history = train(std_train, NetConfig(d_x=10),
                         TrainConfig(max_iters=500, lr=5e-3, seed=0))
     train_seconds = time.perf_counter() - t0
     model = FlowModel(net=net, scaler=scaler)
     return SimpleNamespace(
         cfg=cfg, train_ds=train_ds, test_ds=test_ds, model=model, net=net,
-        scaler=scaler, report=report, train_seconds=train_seconds,
+        scaler=scaler, history=history, train_seconds=train_seconds,
         x_std=scaler.transform_x(test_ds.x),
         y_std=scaler.transform_y(test_ds.y))
 
@@ -295,7 +295,7 @@ def test_gate_12_cli_runs_are_byte_identical(tmp_path):
 
 
 def test_gate_13_training_loss_halves(bench):
-    hist = bench.report.loss_history
+    hist = bench.history
     it1, l1 = hist[0]
     it_last, l_last = hist[-1]
     ok = it1 == 1 and it_last == 500 and l_last < 0.5 * l1

@@ -68,7 +68,7 @@ def test_queries_check_conditioning(name):
 
 @pytest.mark.parametrize("name", sorted(_QUERIES))
 def test_each_query_checks_x_and_a_once(monkeypatch, name):
-    calls = {"check_treatment": 0, "_check_x": 0}
+    calls = {"check_treatment": 0, "check_covariates": 0}
     for fn in calls:
         for module in (sd, vn, oe, api):
             inner = getattr(module, fn, None)
@@ -80,7 +80,7 @@ def test_each_query_checks_x_and_a_once(monkeypatch, name):
                 monkeypatch.setattr(module, fn, counting)
     m = _model(vn.init(vn.NetConfig(d_x=2, init_seed=1)))
     _QUERIES[name](m, np.zeros((1, 2)), 1)
-    assert calls == {"check_treatment": int(name != "cate"), "_check_x": 1}
+    assert calls == {"check_treatment": int(name != "cate"), "check_covariates": 1}
 
 
 def _fails_before_integrating(monkeypatch, call, match):

@@ -39,7 +39,7 @@ def test_loss_single_row_matches_forward():
     y0, y1, t = np.array([0.4]), np.array([-1.1]), np.array([0.3])
     x, a = np.array([[0.2, -0.7]]), np.array([1])
     phi = ct.interpolant(y0, y1, t)
-    v = vn.forward_batch(net, phi, t, x, a)[0]
+    v = vn.forward_batch(net, phi, t[0], x, a)[0]
     expect = (v - (y1[0] - y0[0])) ** 2
     loss, _ = ct.cfm_loss(net, y0, x, a, y1, t)
     assert abs(loss - expect) <= 1e-12
@@ -63,7 +63,9 @@ def test_loss_matches_independent_batch_average():
     ts, x = rng.random(n), rng.standard_normal((n, 2))
     a = rng.integers(0, 2, n)
     phi = ct.interpolant(y0, y1, ts)
-    v = vn.forward_batch(net, phi, ts, x, a)
+    c = vn.cond_features(x, a, ts, net.cfg)
+    both = vn.core_forward(vn._NumpyOps, net.params, phi.reshape(-1, 1), c, net.cfg)
+    v = vn._arm(both, a == 1)
     expect = np.mean((v - (y1 - y0)) ** 2)
     loss, _ = ct.cfm_loss(net, y0, x, a, y1, ts)
     assert abs(loss - expect) <= 1e-12
@@ -205,9 +207,9 @@ def _standardized(n=400, seed=0):
 def test_train_is_bit_deterministic():
     ds, _ = _standardized()
     cfg = ct.TrainConfig(batch_size=32, max_iters=40)
-    net1, rep1 = ct.train(ds, vn.NetConfig(d_x=3), cfg)
-    net2, rep2 = ct.train(ds, vn.NetConfig(d_x=3), cfg)
-    assert rep1.loss_history == rep2.loss_history
+    net1, history1 = ct.train(ds, vn.NetConfig(d_x=3), cfg)
+    net2, history2 = ct.train(ds, vn.NetConfig(d_x=3), cfg)
+    assert history1 == history2
     for name, t in net1.params.items():
         assert np.array_equal(t, net2.params[name])
 
@@ -232,7 +234,7 @@ def _reference_train(ds, net_cfg, cfg):
             m[name] = b1 * m[name] + (1.0 - b1) * g
             v[name] = b2 * v[name] + (1.0 - b2) * g * g
             p -= cfg.lr * (m[name] / c1) / (np.sqrt(v[name] / c2) + cfg.adam_eps)
-        if it == 1 or it % cfg.loss_log_every == 0:
+        if it == 1 or it % cfg.loss_log_every == 0 or it == cfg.max_iters:
             history.append((it, loss))
     return net, history
 
@@ -241,12 +243,12 @@ def test_flat_adam_matches_per_tensor_adam_bit_for_bit():
     ds, _ = _standardized(n=400)
     net_cfg = vn.NetConfig(d_x=3)
     cfg = ct.TrainConfig(max_iters=40, lr=5e-3, seed=2)
-    net, rep = ct.train(ds, net_cfg, cfg)
+    net, got = ct.train(ds, net_cfg, cfg)
     ref, history = _reference_train(ds, net_cfg, cfg)
     assert list(net.params) == list(ref.params)
     for name, t in net.params.items():
         assert np.array_equal(t, ref.params[name]), name
-    assert rep.loss_history == history and len(history) == 40
+    assert got == history and len(history) == 40
 
 
 def test_trained_params_are_views_of_one_flat_vector():
@@ -260,11 +262,10 @@ def test_trained_params_are_views_of_one_flat_vector():
 def test_train_reduces_loss():
     ds, _ = _standardized(n=800)
     cfg = ct.TrainConfig(batch_size=100, max_iters=300, seed=1)
-    _, rep = ct.train(ds, vn.NetConfig(d_x=3), cfg)
-    first = rep.loss_history[0][1]
-    assert rep.final_loss < first
-    assert rep.loss_history[0][0] == 1
-    assert len(rep.loss_history) == 300
+    _, history = ct.train(ds, vn.NetConfig(d_x=3), cfg)
+    assert history[-1][1] < history[0][1]
+    assert history[0][0] == 1
+    assert len(history) == 300
 
 
 @pytest.mark.filterwarnings("ignore:overflow")

@@ -112,6 +112,19 @@ def test_train_artifacts(small_run):
     assert (tmp_path / "model.json.manifest.json").exists()
 
 
+def test_train_meta_and_summary_report_the_last_iteration(small_run, tmp_path, capsys):
+    _, _, _, data, _ = small_run
+    tr = _write(tmp_path / "log7.cfg", "max_iters = 10\nbatch_size = 20\nloss_log_every = 7\n")
+    model = str(tmp_path / "log7.json")
+    capsys.readouterr()
+    assert cli.main(["train", "--data", data, "--out", model, "--train-config", tr]) == 0
+    rows = [line.split(",") for line in (tmp_path / "log7.loss.csv").read_text().splitlines()]
+    assert [r[0] for r in rows] == ["iter", "1", "7", "10"]
+    meta = load_model(model).train_meta
+    assert (meta["iters_run"], meta["final_loss"]) == (10, float(rows[-1][1]))
+    assert f"trained 10 iters, final loss {float(rows[-1][1]):.6f}," in capsys.readouterr().out
+
+
 def test_predict_modes(small_run, tmp_path):
     _, _, _, data, model = small_run
     ds = load_csv(data)
@@ -267,6 +280,26 @@ def test_eval_kfold(small_run, tmp_path):
         assert set(vals) == {"in", "out"}, name
 
 
+def test_eval_kfold_trains_with_the_file_seed_unless_seed_is_given(small_run, tmp_path):
+    _, _, _, data, _ = small_run
+
+    def report(train_seed, *extra):
+        tr = _write(tmp_path / f"tr{train_seed}.cfg",
+                    f"max_iters = 10\nbatch_size = 20\nseed = {train_seed}\n")
+        out = tmp_path / f"folds-{train_seed}{''.join(extra)}.json"
+        assert cli.main(["eval", "--data", data, "--folds", "2", "--train-config", tr,
+                         "--out", str(out), "--n-steps", "4", "--max-rows", "6", *extra]) == 0
+        man = json.loads(Path(f"{out}.manifest.json").read_text(encoding="utf-8"))
+        return out.read_bytes(), man["seeds"]
+
+    (rep7, seeds7), (rep0, seeds0) = report(7), report(0)
+    assert rep7 != rep0
+    assert (seeds7, seeds0) == ({"seed": 0, "train_seed": 7}, {"seed": 0, "train_seed": 0})
+    (rep7, seeds7), (rep0, seeds0) = report(7, "--seed", "3"), report(0, "--seed", "3")
+    assert rep7 == rep0
+    assert seeds7 == seeds0 == {"seed": 3, "train_seed": 3}
+
+
 def test_eval_argument_validation(small_run, tmp_path, capsys):
     _, _, _, data, model = small_run
     rc = cli.main(["eval", "--model", model, "--out", str(tmp_path / "r.json")])
@@ -413,6 +446,12 @@ def _exit_code(argv):
 _EXIT_2_CASES = {
     "csv-not-utf8": ({"bad.csv": b"x0,a,y\n\xff\xfe,1,2\n"},
                      "train --data {d}/bad.csv --out {d}/m2.json", "bad.csv"),
+    "csv-duplicate-a": ({"dup.csv": b"x0,a,y,a\n0.5,0,1.0,1\n1.5,1,2.0,0\n"},
+                        "train --data {d}/dup.csv --out {d}/m2.json",
+                        "dup.csv: duplicate column 'a'"),
+    "csv-duplicate-y": ({"dup.csv": b"x0,a,y,y\n0.5,0,1.0,3.0\n1.5,1,2.0,4.0\n"},
+                        "predict --model {model} --data {d}/dup.csv --mode cf --out {d}/p.csv",
+                        "dup.csv: duplicate column 'y'"),
     "train-config-not-utf8": ({"bad.cfg": b"seed = \xff\n"},
                               "train --data {data} --out {d}/m2.json --train-config {d}/bad.cfg",
                               "bad.cfg"),
@@ -554,7 +593,7 @@ _COMMANDS = {
                  "outputs": ["{d}/p.csv"]}),
     "eval": ("eval --data {data} --folds 2 --train-config {tr} --out {d}/e.json "
              "--n-steps 4 --max-rows 6",
-             {"seeds": {"seed": 0}, "config_paths": {"train_config": "{tr}"},
+             {"seeds": {"seed": 0, "train_seed": 1}, "config_paths": {"train_config": "{tr}"},
               "inputs": ["{data}"], "outputs": ["{d}/e.json"]}),
     "a3test": ("a3test --model {model} --data {data} --out {d}/a.json --n-steps 4",
                {"seeds": {"seed": 0}, "config_paths": {}, "inputs": ["{model}", "{data}"],

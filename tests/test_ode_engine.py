@@ -33,11 +33,6 @@ def test_rk4_exponential_accuracy_and_order():
     assert 12.0 <= ratio <= 20.0
 
 
-def test_rk4_step_rejects_zero_h():
-    with pytest.raises(ContractError):
-        oe.rk4_step(lambda y, t: y, 1.0, 0.0, 0.0)
-
-
 def test_zero_field_encode_decode_identity():
     net = _linear_net()
     x = np.zeros((1, 2))

@@ -15,6 +15,13 @@ def _net(d_x=3, **over):
     return vn.init(vn.NetConfig(d_x=d_x, **over))
 
 
+def _reference(net, ys, ts, x, a):
+    """The selected arm's velocity at a time per row, in one pass of core_forward."""
+    c = vn.cond_features(x, a, ts, net.cfg)
+    both = vn.core_forward(vn._NumpyOps, net.params, ys.reshape(-1, 1), c, net.cfg)
+    return vn._arm(both, a == 1)
+
+
 def _rand_inputs(net, n, seed=0):
     rng = np.random.default_rng(seed)
     return (rng.standard_normal(n), rng.random(n),
@@ -59,28 +66,28 @@ def test_zero_params_zero_velocity():
     net = _net()
     net.params = {k: np.zeros_like(v) for k, v in net.params.items()}
     ys, ts, x, a = _rand_inputs(net, 20)
-    assert np.array_equal(vn.forward_batch(net, ys, ts, x, a), np.zeros(20))
+    assert np.array_equal(_reference(net, ys, ts, x, a), np.zeros(20))
 
 
 def test_heads_differ_and_are_isolated():
     net = _net(init_seed=3)
     ys, ts, x, _ = _rand_inputs(net, 50, seed=1)
-    v0 = vn.forward_batch(net, ys, ts, x, np.zeros(50, dtype=int))
-    v1 = vn.forward_batch(net, ys, ts, x, np.ones(50, dtype=int))
+    v0 = _reference(net, ys, ts, x, np.zeros(50, dtype=int))
+    v1 = _reference(net, ys, ts, x, np.ones(50, dtype=int))
     # conditioning and the projection head both depend on a
     assert not np.allclose(v0, v1)
     # perturbing head 1 cannot leak into arm-0 outputs
     net.params["proj_w"][:, 1] += 100.0
     net.params["proj_b"][0, 1] -= 3.0
     np.testing.assert_array_equal(
-        vn.forward_batch(net, ys, ts, x, np.zeros(50, dtype=int)), v0)
+        _reference(net, ys, ts, x, np.zeros(50, dtype=int)), v0)
 
 
 def test_batched_matches_single_rows():
     net = _net(init_seed=2)
     ys, ts, x, a = _rand_inputs(net, 100, seed=4)
-    batched = vn.forward_batch(net, ys, ts, x, a)
-    singles = np.array([vn.forward_batch(net, ys[i:i + 1], ts[i:i + 1], x[i:i + 1], a[i:i + 1])[0]
+    batched = _reference(net, ys, ts, x, a)
+    singles = np.array([vn.forward_batch(net, ys[i:i + 1], ts[i], x[i:i + 1], a[i:i + 1])[0]
                         for i in range(100)])
     np.testing.assert_allclose(batched, singles, atol=1e-12)
 
@@ -88,14 +95,12 @@ def test_batched_matches_single_rows():
 def test_forward_deterministic():
     net = _net(init_seed=9)
     ys, ts, x, a = _rand_inputs(net, 30, seed=5)
-    assert np.array_equal(vn.forward_batch(net, ys, ts, x, a),
-                          vn.forward_batch(net, ys, ts, x, a))
+    assert np.array_equal(_reference(net, ys, ts, x, a), _reference(net, ys, ts, x, a))
 
 
 def test_empty_batch():
     net = _net()
-    out = vn.forward_batch(net, np.zeros(0), np.zeros(0), np.zeros((0, 3)),
-                           np.zeros(0, dtype=int))
+    out = vn.forward_batch(net, np.zeros(0), 0.5, np.zeros((0, 3)), np.zeros(0, dtype=int))
     assert out.shape == (0,)
 
 
@@ -105,6 +110,13 @@ def test_domain_and_dimension_errors():
         vn.forward_batch(net, [0.0], 1.5, np.zeros((1, 3)), 1)
     with pytest.raises(ContractError, match="t outside"):
         vn.forward_batch(net, [0.0], -0.2, np.zeros((1, 3)), 0)
+    with pytest.raises(ContractError, match="t outside"):
+        vn.forward_batch(net, [0.0], float("nan"), np.zeros((1, 3)), 0)
+    # within the tolerance, t is clamped to [0, 1]
+    assert vn.forward_batch(net, [0.3], 1.0 + 1e-10, np.ones((1, 3)), 1) == \
+        vn.forward_batch(net, [0.3], 1.0, np.ones((1, 3)), 1)
+    with pytest.raises(DimensionError, match=r"t has shape \(1,\), expected a scalar"):
+        vn.forward_batch(net, [0.0], [0.5], np.zeros((1, 3)), 0)
     with pytest.raises(DimensionError):
         vn.forward_batch(net, [0.0], 0.5, np.zeros((1, 4)), 1)
     with pytest.raises(ContractError):
@@ -117,7 +129,7 @@ def test_per_row_vector_length_mismatch_names_argument():
     calls = [
         ("a has shape \\(2,\\), expected \\(1,\\)",
          lambda: api.predict_counterfactual_batch(model, [0.3], np.zeros((1, 2)), [0, 1])),
-        ("t has shape \\(3,\\), expected \\(2,\\)",
+        ("t has shape \\(3,\\), expected a scalar",
          lambda: vn.forward_batch(net, [0.1, 0.2], [0.1, 0.2, 0.3], np.zeros((2, 2)), 1)),
         ("a has shape \\(2,\\), expected \\(3,\\)",
          lambda: api.log_density_batch(model, [0.1, 0.2, 0.3], np.zeros((3, 2)), [0, 1])),
@@ -136,7 +148,7 @@ def test_time_encoding_dimensions():
     assert np.allclose(enc[0, 0::2], 0.0) and np.allclose(enc[0, 1::2], 1.0)
     net = vn.init(cfg)
     ys, ts, x, a = _rand_inputs(net, 10)
-    assert vn.forward_batch(net, ys, ts, x, a).shape == (10,)
+    assert _reference(net, ys, ts, x, a).shape == (10,)
 
 
 def test_time_frequencies_capped():
@@ -254,11 +266,9 @@ def _busy_net(d_x=3, seed=9, **over):
 def test_forward_batch_blocks_match_one_pass():
     net = _busy_net()
     n = 5 * vn._ROW_BLOCK // 2
-    ys, ts, x, a = _rand_inputs(net, n, seed=3)
-    got = vn.forward_batch(net, ys, ts, x, a)
-    c = vn.cond_features(x, a, ts, net.cfg)
-    both = vn.core_forward(vn._NumpyOps, net.params, ys.reshape(-1, 1), c, net.cfg)
-    want = np.where(a == 1, both[:, 1], both[:, 0])
+    ys, _, x, a = _rand_inputs(net, n, seed=3)
+    got = vn.forward_batch(net, ys, 0.37, x, a)
+    want = _reference(net, ys, np.full(n, 0.37), x, a)
     assert got.shape == (n,)
     assert got.tobytes() == want.tobytes()
 
@@ -270,15 +280,10 @@ def test_wide_nets_pass_fewer_rows_per_block():
     assert rows < vn._ROW_BLOCK
     assert rows * 8 * max(net.cfg.hidden, net.cfg.cond_dim) <= vn._PASS_BYTES
     n = 5 * rows // 2
-    ys, ts, x, a = _rand_inputs(net, n, seed=4)
-    c = vn.cond_features(x, a, ts, net.cfg)
-    both = vn.core_forward(vn._NumpyOps, net.params, ys.reshape(-1, 1), c, net.cfg)
-    assert vn.forward_batch(net, ys, ts, x, a).tobytes() == \
-        np.where(a == 1, both[:, 1], both[:, 0]).tobytes()
-    c = vn.cond_features(x, a, np.full(n, 0.25), net.cfg)
-    both = vn.core_forward(vn._NumpyOps, net.params, ys.reshape(-1, 1), c, net.cfg)
-    assert _assembled(net, n, x, a)(ys, 0.25).tobytes() == \
-        np.where(a == 1, both[:, 1], both[:, 0]).tobytes()
+    ys, _, x, a = _rand_inputs(net, n, seed=4)
+    want = _reference(net, ys, np.full(n, 0.25), x, a).tobytes()
+    assert vn.forward_batch(net, ys, 0.25, x, a).tobytes() == want
+    assert _assembled(net, n, x, a)(ys, 0.25).tobytes() == want
 
 
 def test_numpy_and_tape_backends_agree_bitwise():
@@ -335,8 +340,6 @@ def test_block_evaluators_match_one_dual_pass_bitwise(time_encoding):
         got, got_d = fd(ys, t)
         assert got.tobytes() == want.tobytes()
         assert got_d.tobytes() == want_d.tobytes()
-    with pytest.raises(ContractError, match="t outside"):
-        f(ys, 1.5)
 
 
 @pytest.mark.parametrize("edit, needle", [
